@@ -1,11 +1,26 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mpdr import FormatError
+from mpdr import FormatError, cyclic_2pdr
 from mpdr.cli import main, parse_group_text
+
+# Whole CLI documents, keyed by case name: the exit code and the JSON report
+# with wall times dropped and input paths cut to their basenames.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+GOLDEN_ARGV = {
+    "verify-true": ["verify", "--group", "z5", "--spec", "fig"],
+    "verify-false": ["verify", "--group", "z3", "--spec", "allg"],
+    "aut-search": ["aut", "--group", "z5", "--spec", "fig"],
+    "aut-oracle": ["aut", "--digraph", "tri", "--oracle"],
+    "search-rigid3": ["search", "--problem", "rigid3", "--m", "5"],
+    "search-drr2-z5": ["search", "--problem", "drr2", "--group", "z5"],
+    "search-drr2-q8": ["search", "--problem", "drr2", "--group", "q8"],
+    "search-exhaust-negative": ["search", "--problem", "exhaust-negative", "--n", "4"],
+}
 
 
 @pytest.fixture()
@@ -23,6 +38,10 @@ def files(tmp_path):
         "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]},
                  {"i": 1, "j": 0, "elements": [0, 1, 2]}],
     }))
+    paths["q8"] = tmp_path / "q8.grp"
+    paths["q8"].write_text("perm 8\n(0 2 1 3)(4 7 5 6)\n(0 4 1 5)(2 6 3 7)\n")
+    paths["fig"] = tmp_path / "fig.spec"
+    paths["fig"].write_text(cyclic_2pdr(5).to_json())
     paths["tri"] = tmp_path / "tri.dg"
     paths["tri"].write_text("n 3\n0 1\n1 2\n2 0\n")
     paths["tmp"] = tmp_path
@@ -33,6 +52,22 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _normalized(node):
+    if isinstance(node, dict):
+        return {k: Path(v).name if k == "path" else _normalized(v)
+                for k, v in node.items() if k not in ("wall_time", "elapsed_seconds")}
+    if isinstance(node, list):
+        return [_normalized(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+def test_golden_documents(capsys, files, case):
+    argv = [str(files[a]) if a in files else a for a in GOLDEN_ARGV[case]]
+    code, doc = run_json(capsys, argv)
+    assert {"exit": code, "doc": _normalized(doc)} == GOLDEN[case]
 
 
 def test_parse_group_text_cyclic():
