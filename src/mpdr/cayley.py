@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .digraphs import Digraph
 from .errors import FormatError, PreconditionError
 from .groups import FiniteGroup
-from .perms import PermGroup, Permutation, is_semiregular
+from .perms import PermGroup, Permutation
 
 
 @dataclass(frozen=True)
@@ -179,14 +179,6 @@ def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
         for g in range(n):
             arcs.append((g, row[g]))
     return Digraph(n, arcs, allow_loops=True)
-
-
-def verify_semiregular(group: PermGroup, domain_size: int) -> tuple[bool, list[list[int]]]:
-    """(semiregular?, orbit partition).  Semiregular means only the identity
-    fixes a point, equivalently every orbit has size equal to the order."""
-    if group.degree != domain_size:
-        raise ValueError(f"group degree {group.degree} != domain size {domain_size}")
-    return is_semiregular(group), group.orbits()
 
 
 def part_swap_automorphism(x: MCayleyDigraph, y: int) -> Permutation:

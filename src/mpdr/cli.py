@@ -27,7 +27,7 @@ from .digraphs import Digraph
 from .errors import CapExceededError, FormatError, MpdrError, PreconditionError
 from .groups import FiniteGroup
 from .perms import Permutation
-from .search import (_scan_valency2_drr, exhaust_2partite_valency3,
+from .search import (SearchVerdict, exhaust_2partite_valency3, scan_valency2,
                      translate_relation, trivial_aut_3regular_search)
 from .verify import is_pdr
 
@@ -205,33 +205,6 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.problem == "rigid3":
-        if args.m is None:
-            raise FormatError("rigid3 needs --m")
-        verdict = trivial_aut_3regular_search(
-            args.m, args.mode, budget=args.budget, oriented=args.oriented,
-            jobs=args.jobs, seed=args.seed)
-        doc = _envelope({})
-        doc.update(verdict.to_json_dict())
-        _emit(doc, args.out)
-        return 0
-    if args.problem == "drr2":
-        if not args.group:
-            raise FormatError("drr2 needs --group")
-        group = _load_group(args.group)
-        start = time.perf_counter()
-        pair, tested = _scan_valency2_drr(group)
-        doc = _envelope({"group": args.group})
-        doc.update({
-            "problem": "drr2",
-            "parameters": {"group_order": group.order},
-            "verdict": "witness-found" if pair else "none-exists",
-            "witness": {"pair": list(pair)} if pair else None,
-            "nodes_explored": tested,
-            "wall_time": round(time.perf_counter() - start, 6),
-        })
-        _emit(doc, args.out)
-        return 0
     if args.problem == "exhaust-negative":
         if args.group:
             group = _load_group(args.group)
@@ -260,7 +233,39 @@ def _cmd_search(args) -> int:
         })
         _emit(doc, args.out)
         return 0
-    raise FormatError(f"unknown problem {args.problem!r}")
+    if args.problem == "rigid3":
+        if args.m is None:
+            raise FormatError("rigid3 needs --m")
+        inputs = {}
+        verdict = trivial_aut_3regular_search(
+            args.m, args.mode, budget=args.budget, oriented=args.oriented,
+            jobs=args.jobs, seed=args.seed)
+    else:  # drr2
+        if not args.group:
+            raise FormatError("drr2 needs --group")
+        inputs = {"group": args.group}
+        group = _load_group(args.group)
+        start = time.perf_counter()
+        pair, tested = scan_valency2(group, inverse_free=False)
+        verdict = SearchVerdict(
+            "drr2", {"group_order": group.order},
+            "none-exists" if pair is None else "witness-found",
+            None if pair is None else {"pair": list(pair)},
+            tested, time.perf_counter() - start)
+    doc = _envelope(inputs)
+    doc.update(verdict.to_json_dict())
+    _emit(doc, args.out)
+    return 0
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -284,9 +289,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the representation property")
     p.add_argument("--group", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--color-blind", action="store_true", default=True,
-                   help="compute Aut without part colors (the default and the "
-                        "authoritative mode)")
     p.add_argument("--parts-as-colors", action="store_true",
                    help="restrict Aut to part-preserving maps (cross-check only)")
     p.add_argument("--out")
@@ -314,10 +316,10 @@ def _parser() -> argparse.ArgumentParser:
                    choices=["rigid3", "drr2", "exhaust-negative"])
     p.add_argument("--m", type=int, help="vertex count for rigid3")
     p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=_at_least(0), default=1000)
     p.add_argument("--oriented", action="store_true",
                    help="rigid3 variant: forbid digons")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")
@@ -338,10 +340,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, CapExceededError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PreconditionError, CapExceededError, ValueError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except MpdrError as exc:

@@ -14,6 +14,7 @@ from .autgroup import automorphism_search
 from .cayley import ConnectionSpec, cayley_digraph
 from .errors import PreconditionError, SearchExhaustedError
 from .groups import FiniteGroup
+from .search import scan_valency2
 from .verify import is_pdr
 
 
@@ -111,17 +112,7 @@ def find_valency2_orr(group: FiniteGroup) -> tuple[int, int] | None:
     that generates the group, is inverse-free (no digons), and whose Cayley
     digraph has automorphism group of order exactly |G|.  None if no pair
     qualifies."""
-    n = group.order
-    for a, b in itertools.combinations(range(1, n), 2):
-        inverses = {group.inverse(a), group.inverse(b)}
-        if {a, b} & inverses:
-            continue
-        if not group.generates({a, b}):
-            continue
-        digraph = cayley_digraph(group, (a, b))
-        if automorphism_search(digraph).group.order == n:
-            return (a, b)
-    return None
+    return scan_valency2(group, inverse_free=True)[0]
 
 
 def drr_to_2pdr(group: FiniteGroup, connection: tuple[int, ...] | list[int]) -> ConnectionSpec:

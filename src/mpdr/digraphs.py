@@ -235,11 +235,6 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-def make_digraph(n: int, arcs: Iterable[tuple[int, int]],
-                 vertex_color: Sequence[int] | None = None) -> Digraph:
-    return Digraph(n, arcs, vertex_color=vertex_color)
-
-
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         low = mask & -mask

@@ -172,11 +172,3 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
-
-def make_cyclic(n: int) -> FiniteGroup:
-    return FiniteGroup.cyclic(n)
-
-
-def make_from_permutations(degree: int, gens: Iterable[Permutation | Sequence[int]],
-                           closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    return FiniteGroup.from_permutations(degree, gens, closure_cap=closure_cap)

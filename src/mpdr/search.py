@@ -12,6 +12,7 @@ count sums the branches up to and including the first one with a witness.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -54,16 +55,10 @@ def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, 
     n = group.order
     if n > 8:
         raise PreconditionError(f"exhaustive 2-part sweep capped at order 8, got {n}")
-    if n < 3:
-        return []
-    out = []
-    for t01 in itertools.combinations(range(n), 3):
-        for t10 in itertools.combinations(range(n), 3):
-            spec = ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
-            x = build_m_cayley(group, spec)
-            order = automorphism_search(x.digraph, ignore_colors=True).group.order
-            out.append((spec, order))
-    return out
+    specs = (ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
+             for t01, t10 in itertools.product(itertools.combinations(range(n), 3),
+                                               repeat=2))
+    return _aut_orders(group, specs)
 
 
 def translate_relation(group: FiniteGroup, source: tuple[int, ...],
@@ -82,21 +77,21 @@ def exhaust_z2_m3_valency3() -> list[tuple[ConnectionSpec, int]]:
     shape: one full directed triangle of parts carries the whole group and
     the opposite triangle carries singletons.  Both orientations of the full
     triangle are enumerated: 8 singleton assignments each, 16 specs total."""
-    group = FiniteGroup.cyclic(2)
-    full = (0, 1)
-    out = []
-    for heavy, light in (
-        (((0, 2), (2, 1), (1, 0)), ((0, 1), (1, 2), (2, 0))),
-        (((0, 1), (1, 2), (2, 0)), ((0, 2), (2, 1), (1, 0))),
-    ):
-        for bits in itertools.product((0, 1), repeat=3):
-            sets = {pair: full for pair in heavy}
-            sets.update({pair: (bit,) for pair, bit in zip(light, bits)})
-            spec = ConnectionSpec.from_sets(3, 2, sets)
-            x = build_m_cayley(group, spec)
-            order = automorphism_search(x.digraph, ignore_colors=True).group.order
-            out.append((spec, order))
-    return out
+    forward, backward = ((0, 1), (1, 2), (2, 0)), ((0, 2), (2, 1), (1, 0))
+    specs = (ConnectionSpec.from_sets(3, 2, {
+                 **dict.fromkeys(heavy, (0, 1)),
+                 **{pair: (bit,) for pair, bit in zip(light, bits)}})
+             for heavy, light in ((backward, forward), (forward, backward))
+             for bits in itertools.product((0, 1), repeat=3))
+    return _aut_orders(FiniteGroup.cyclic(2), specs)
+
+
+def _aut_orders(group: FiniteGroup, specs) -> list[tuple[ConnectionSpec, int]]:
+    """Each spec with the color-blind automorphism order of its m-Cayley
+    digraph over the group, built and searched one spec at a time."""
+    return [(spec, automorphism_search(build_m_cayley(group, spec).digraph,
+                                       ignore_colors=True).group.order)
+            for spec in specs]
 
 
 def find_valency2_drr(group: FiniteGroup) -> tuple[int, int] | None:
@@ -104,18 +99,27 @@ def find_valency2_drr(group: FiniteGroup) -> tuple[int, int] | None:
     generates the group and whose Cayley digraph has automorphism group of
     order exactly |G|.  Mutually inverse pairs are allowed (digons are fine
     for a DRR); None when the search exhausts."""
-    return _scan_valency2_drr(group)[0]
+    return scan_valency2(group, inverse_free=False)[0]
 
 
-def _scan_valency2_drr(group: FiniteGroup):
+def scan_valency2(group: FiniteGroup, *,
+                  inverse_free: bool) -> tuple[tuple[int, int] | None, int]:
+    """The first pair {a, b} of distinct non-identity elements, in ascending
+    index order, that generates the group and whose Cayley digraph has
+    automorphism group of order exactly |G| (None if no pair qualifies),
+    and the number of generating pairs tested up to it.  With
+    ``inverse_free``, a pair holding the inverse of one of its elements (an
+    involution, or a mutually inverse pair) is skipped, so no digraph tested
+    has a digon."""
     n = group.order
     tested = 0
     for a, b in itertools.combinations(range(1, n), 2):
+        if inverse_free and {a, b} & {group.inverse(a), group.inverse(b)}:
+            continue
         if not group.generates({a, b}):
             continue
         tested += 1
-        digraph = cayley_digraph(group, (a, b))
-        if automorphism_search(digraph).group.order == n:
+        if automorphism_search(cayley_digraph(group, (a, b))).group.order == n:
             return (a, b), tested
     return None, tested
 
@@ -161,30 +165,23 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
 
 
 def _rigid_exhaustive(m: int, oriented: bool, jobs: int):
-    branches = list(itertools.combinations(range(1, m), 3))
-    if not branches:
-        return None, 0
-    if jobs <= 1:
+    """Merge the branches in order up to the first witness.  A pool, when
+    ``jobs`` allows one, has at most one worker per branch and per CPU, and
+    its queued branches are cancelled once the merge has its answer."""
+    first_rows = list(itertools.combinations(range(1, m), 3))
+    workers = min(jobs, len(first_rows), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         tested = 0
-        for first_row in branches:
-            witness, count = _rigid_branch(m, first_row, oriented)
+        for witness, count in (pool.map if pool else map)(
+                _rigid_branch, itertools.repeat(m), first_rows, itertools.repeat(oriented)):
             tested += count
             if witness is not None:
                 return witness, tested
         return None, tested
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_rigid_branch_task,
-                                [(m, first_row, oriented) for first_row in branches]))
-    tested = 0
-    for witness, count in results:
-        tested += count
-        if witness is not None:
-            return witness, tested
-    return None, tested
-
-
-def _rigid_branch_task(args):
-    return _rigid_branch(*args)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):

@@ -12,9 +12,9 @@ import pytest
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, automorphism_group,
                   automorphism_search, brute_force_automorphisms, build_m_cayley,
                   cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, exhaust_2partite_valency3,
-                  exhaust_z2_m3_valency3, find_valency2_orr, is_pdr,
+                  exhaust_z2_m3_valency3, find_valency2_orr, is_pdr, is_semiregular,
                   stabilizer_criterion_check, translate_relation,
-                  trivial_aut_3regular_search, two_generated_mpdr, verify_semiregular)
+                  trivial_aut_3regular_search, two_generated_mpdr)
 
 
 class _Criterion:
@@ -199,9 +199,9 @@ def test_criterion_10_structural_properties(corpus):
                 assert aut.contains(r), (entry["name"], g)
             translations = x.right_regular_group()
             assert translations.order == group.order
-            semi, orbits = verify_semiregular(translations, x.digraph.n)
-            assert semi
-            assert orbits == [list(p) for p in x.parts()]
+            assert translations.degree == x.digraph.n
+            assert is_semiregular(translations)
+            assert translations.orbits() == [list(p) for p in x.parts()]
             assert aut.order % group.order == 0, entry["name"]
             for part in x.parts():
                 sub, _ = x.digraph.induced_subdigraph(part)

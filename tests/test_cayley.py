@@ -3,8 +3,7 @@ import random
 import pytest
 
 from mpdr import (ConnectionSpec, FiniteGroup, PermGroup, PreconditionError,
-                  build_m_cayley, cayley_digraph, part_swap_automorphism,
-                  verify_semiregular)
+                  build_m_cayley, cayley_digraph, is_semiregular, part_swap_automorphism)
 
 
 def lemma_spec_z5():
@@ -160,22 +159,20 @@ def test_right_regular_group():
     r = x.right_regular_group()
     assert r.order == 5
     assert r.orbits() == [list(x.part(0)), list(x.part(1))]
-    semi, orbits = verify_semiregular(r, 10)
-    assert semi
-    assert orbits == [list(range(5)), list(range(5, 10))]
+    assert is_semiregular(r)
+    assert r.orbits() == [list(range(5)), list(range(5, 10))]
 
 
 def test_verify_semiregular_negative():
     p = PermGroup(3, [[1, 0, 2]])  # fixes point 2
-    semi, orbits = verify_semiregular(p, 3)
-    assert not semi
-    assert orbits == [[0, 1], [2]]
+    assert not is_semiregular(p)
+    assert p.orbits() == [[0, 1], [2]]
 
 
 def test_verify_semiregular_trivial():
-    semi, orbits = verify_semiregular(PermGroup(3, []), 3)
-    assert semi
-    assert orbits == [[0], [1], [2]]
+    p = PermGroup(3, [])
+    assert is_semiregular(p)
+    assert p.orbits() == [[0], [1], [2]]
 
 
 def test_part_swap_all_of_g():

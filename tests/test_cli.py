@@ -225,6 +225,25 @@ def test_search_drr2(capsys, files):
     assert doc["witness"]["pair"] == [1, 2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m", "6", "--jobs", "0"],
+    ["--m", "6", "--jobs", "-3"],
+    ["--m", "12", "--mode", "randomized", "--budget", "-5"],
+])
+def test_search_rejects_bad_jobs_and_budget(capsys, argv):
+    assert main(["search", "--problem", "rigid3", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verify_color_blind_flag_rejected(capsys, files):
+    assert main(["verify", "--group", str(files["z5"]), "--spec", str(files["fig"]),
+                 "--color-blind"]) == 3
+    assert "--color-blind" in capsys.readouterr().err
+
+
 def test_search_missing_args(capsys, files):
     assert main(["search", "--problem", "rigid3"]) == 3
     assert main(["search", "--problem", "exhaust-negative"]) == 3

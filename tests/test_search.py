@@ -4,7 +4,8 @@ import pytest
 
 from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphism_group,
                   cayley_digraph, exhaust_2partite_valency3, exhaust_z2_m3_valency3,
-                  find_valency2_drr, translate_relation, trivial_aut_3regular_search)
+                  find_valency2_drr, search, translate_relation,
+                  trivial_aut_3regular_search)
 
 
 def test_exhaust_z3():
@@ -92,6 +93,51 @@ def test_rigid_jobs_deterministic():
         par = trivial_aut_3regular_search(m, jobs=2)
         assert (seq.verdict, seq.witness, seq.nodes_explored) == \
             (par.verdict, par.witness, par.nodes_explored)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs the branches in this process,
+    lazily, and records its size, the branches merged and its shutdown."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.merged = 0
+        self.shutdown_args = None
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            self.merged += 1
+            yield fn(*args)
+
+    def shutdown(self, **kwargs):
+        self.shutdown_args = kwargs
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1000, 64, 10),   # at most one worker per branch: C(5, 3) = 10 at m = 6
+    (3, 64, 3),
+    (1000, 2, 2),
+    (1000, None, None),
+    (2, 1, None),
+])
+def test_rigid_pool_capped_and_stopped_at_witness(monkeypatch, jobs, cpus, workers):
+    expected = trivial_aut_3regular_search(6, jobs=1)
+    pools = []
+
+    def make_pool(max_workers):
+        pools.append(_InProcessPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    verdict = trivial_aut_3regular_search(6, jobs=jobs)
+    assert (verdict.verdict, verdict.witness, verdict.nodes_explored) == \
+        (expected.verdict, expected.witness, expected.nodes_explored)
+    assert verdict.parameters["jobs"] == jobs
+    assert [pool.max_workers for pool in pools] == ([] if workers is None else [workers])
+    for pool in pools:
+        assert pool.merged == 1  # branch (1, 2, 3) holds the witness; nothing after it
+        assert pool.shutdown_args == {"cancel_futures": True}
 
 
 def test_rigid_randomized_m4_agrees():
