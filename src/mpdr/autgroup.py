@@ -25,7 +25,7 @@ from .digraphs import Digraph
 from .errors import CapExceededError
 from .perms import PermGroup, Permutation
 
-DEFAULT_VERTEX_CAP = 2048
+VERTEX_CAP = 2048
 BRUTE_FORCE_CAP = 9
 
 
@@ -36,8 +36,7 @@ class AutSearchResult:
     elapsed: float
 
 
-def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False,
-                       vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False) -> PermGroup:
     """Generators and exact order of the automorphism group.
 
     Vertex colors, when the digraph carries them, constrain automorphisms
@@ -45,16 +44,15 @@ def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False,
     constraint (the right mode whenever part-fixing is a conclusion rather
     than an assumption).
     """
-    return automorphism_search(digraph, ignore_colors=ignore_colors,
-                               vertex_cap=vertex_cap).group
+    return automorphism_search(digraph, ignore_colors=ignore_colors).group
 
 
-def automorphism_search(digraph: Digraph, *, ignore_colors: bool = False,
-                        vertex_cap: int = DEFAULT_VERTEX_CAP) -> AutSearchResult:
+def automorphism_search(digraph: Digraph, *,
+                        ignore_colors: bool = False) -> AutSearchResult:
     """Like :func:`automorphism_group` but also reports search statistics."""
-    if digraph.n > vertex_cap:
+    if digraph.n > VERTEX_CAP:
         raise CapExceededError(
-            f"automorphism search capped at {vertex_cap} vertices, got {digraph.n}")
+            f"automorphism search capped at {VERTEX_CAP} vertices, got {digraph.n}")
     start = time.perf_counter()
     search = _AutSearch(digraph, ignore_colors=ignore_colors)
     limit = sys.getrecursionlimit()

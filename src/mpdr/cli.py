@@ -66,19 +66,19 @@ def parse_group_text(text: str) -> FiniteGroup:
                       f"got {lines[0]!r}")
 
 
-def _read(path: str) -> str:
+def _read(path: str, role: str, inputs: dict) -> str:
+    """The text of an input file.  Records its path and the sha256 of the
+    bytes read under ``role`` in ``inputs``: a pipe cannot be read twice."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    inputs[role] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return data.decode()
 
 
-def _envelope(inputs: dict[str, str]) -> dict:
-    hashes = {}
-    for role, path in inputs.items():
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        hashes[role] = {"path": str(path), "sha256": digest}
-    return {"tool": {"name": "mpdr", "version": __version__}, "inputs": hashes}
+def _envelope(inputs: dict) -> dict:
+    return {"tool": {"name": "mpdr", "version": __version__}, "inputs": inputs}
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -89,31 +89,30 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_group(path: str) -> FiniteGroup:
-    return parse_group_text(_read(path))
+def _load_group(path: str, inputs: dict) -> FiniteGroup:
+    return parse_group_text(_read(path, "group", inputs))
 
 
-def _load_spec(path: str) -> ConnectionSpec:
-    return ConnectionSpec.from_json(_read(path))
+def _load_spec(path: str, inputs: dict) -> ConnectionSpec:
+    return ConnectionSpec.from_json(_read(path, "spec", inputs))
 
 
-def _load_digraph_args(args) -> tuple[Digraph, dict[str, str], list[str] | None]:
+def _load_digraph_args(args, inputs: dict) -> tuple[Digraph, list[str] | None]:
     if args.digraph:
-        return Digraph.from_text(_read(args.digraph)), {"digraph": args.digraph}, None
+        return Digraph.from_text(_read(args.digraph, "digraph", inputs)), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
-    group = _load_group(args.group)
-    spec = _load_spec(args.spec)
+    group = _load_group(args.group, inputs)
+    spec = _load_spec(args.spec, inputs)
     x = build_m_cayley(group, spec)
     labels = [x.vertex_label(v) for v in range(x.digraph.n)]
-    return x.digraph, {"group": args.group, "spec": args.spec}, labels
+    return x.digraph, labels
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_construct(args) -> int:
-    inputs = {}
     if args.family == "cyclic-2pdr":
         if args.n is None:
             raise FormatError("cyclic-2pdr needs --n")
@@ -127,8 +126,7 @@ def _cmd_construct(args) -> int:
     elif args.family == "two-gen-mpdr":
         if not args.group or args.m is None:
             raise FormatError("two-gen-mpdr needs --group and --m")
-        group = _load_group(args.group)
-        inputs["group"] = args.group
+        group = _load_group(args.group, {})
         if (args.x is None) != (args.y is None):
             raise FormatError("two-gen-mpdr needs both --x and --y, or neither")
         if args.x is not None and args.y is not None:
@@ -145,8 +143,7 @@ def _cmd_construct(args) -> int:
     elif args.family == "drr-extend":
         if not args.group or not args.r:
             raise FormatError("drr-extend needs --group and --r")
-        group = _load_group(args.group)
-        inputs["group"] = args.group
+        group = _load_group(args.group, {})
         try:
             connection = tuple(int(tok) for tok in args.r.split(","))
         except ValueError as exc:
@@ -166,11 +163,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    group = _load_group(args.group)
-    spec = _load_spec(args.spec)
+    inputs: dict = {}
+    group = _load_group(args.group, inputs)
+    spec = _load_spec(args.spec, inputs)
     color_blind = not args.parts_as_colors
     report = is_pdr(group, spec, color_blind=color_blind)
-    doc = _envelope({"group": args.group, "spec": args.spec})
+    doc = _envelope(inputs)
     doc["report"] = report.to_json_dict()
     doc["report"]["color_blind"] = color_blind
     _emit(doc, args.out)
@@ -178,7 +176,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    digraph, inputs, _ = _load_digraph_args(args)
+    inputs: dict = {}
+    digraph, _ = _load_digraph_args(args, inputs)
     if args.oracle:
         group = brute_force_automorphisms(digraph)
         doc = _envelope(inputs)
@@ -195,7 +194,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    digraph, _, labels = _load_digraph_args(args)
+    digraph, labels = _load_digraph_args(args, {})
     text = digraph.to_dot(labels)
     if args.out:
         Path(args.out).write_text(text)
@@ -205,13 +204,12 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    inputs: dict = {}
     if args.problem == "exhaust-negative":
         if args.group:
-            group = _load_group(args.group)
-            inputs = {"group": args.group}
+            group = _load_group(args.group, inputs)
         elif args.n is not None:
             group = FiniteGroup.cyclic(args.n)
-            inputs = {}
         else:
             raise FormatError("exhaust-negative needs --n or --group")
         records = exhaust_2partite_valency3(group)
@@ -236,15 +234,13 @@ def _cmd_search(args) -> int:
     if args.problem == "rigid3":
         if args.m is None:
             raise FormatError("rigid3 needs --m")
-        inputs = {}
         verdict = trivial_aut_3regular_search(
             args.m, args.mode, budget=args.budget, oriented=args.oriented,
             jobs=args.jobs, seed=args.seed)
     else:  # drr2
         if not args.group:
             raise FormatError("drr2 needs --group")
-        inputs = {"group": args.group}
-        group = _load_group(args.group)
+        group = _load_group(args.group, inputs)
         start = time.perf_counter()
         pair, tested = scan_valency2(group, inverse_free=False)
         verdict = SearchVerdict(
@@ -314,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive and randomized searches")
     p.add_argument("--problem", required=True,
                    choices=["rigid3", "drr2", "exhaust-negative"])
-    p.add_argument("--m", type=int, help="vertex count for rigid3")
+    p.add_argument("--m", type=_at_least(1), help="vertex count for rigid3")
     p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
     p.add_argument("--budget", type=_at_least(0), default=1000)
     p.add_argument("--oriented", action="store_true",

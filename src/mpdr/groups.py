@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError
 from .perms import Permutation
 
-DEFAULT_CLOSURE_CAP = 5000
+CLOSURE_CAP = 5000
 
 
 class FiniteGroup:
@@ -49,8 +49,7 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, degree: int,
-                          gens: Iterable[Permutation | Sequence[int]],
-                          closure_cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+                          gens: Iterable[Permutation | Sequence[int]]) -> FiniteGroup:
         """Enumerate the closure of the given permutations under composition.
 
         Elements are indexed in discovery order: identity first, then the
@@ -88,9 +87,9 @@ class FiniteGroup:
             for g in norm:
                 prod = e * g
                 if prod not in index:
-                    if len(elements) >= closure_cap:
+                    if len(elements) >= CLOSURE_CAP:
                         raise CapExceededError(
-                            f"group closure exceeds cap of {closure_cap} elements")
+                            f"group closure exceeds cap of {CLOSURE_CAP} elements")
                     index[prod] = len(elements)
                     elements.append(prod)
 

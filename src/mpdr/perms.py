@@ -90,9 +90,6 @@ class Permutation:
             n += 1
         return n
 
-    def fixed_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i == j]
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
         out = []
@@ -277,9 +274,6 @@ class PermGroup:
 
     def __contains__(self, g) -> bool:
         return self.contains(g)
-
-    def base(self) -> list[int]:
-        return [lvl.point for lvl in self._levels]
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of 0..degree-1, each orbit sorted, ordered by min."""

@@ -130,15 +130,19 @@ def scan_valency2(group: FiniteGroup, *,
 def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
                                 budget: int = 1000, oriented: bool = False,
                                 jobs: int = 1, seed: int = 0) -> SearchVerdict:
-    """Hunt for a 3-regular digraph on m vertices with trivial automorphism
-    group.  Self-loops are excluded; digons are allowed unless ``oriented``.
+    """Hunt for a 3-regular digraph on m >= 1 vertices with trivial
+    automorphism group.  Self-loops are excluded; digons are allowed unless
+    ``oriented``.
 
     Exhaustive mode enumerates every out-neighbor assignment with in-degree
-    pruning (m <= 7) and is deterministic; randomized mode tests ``budget``
-    sampled assignments and can only answer "witness-found" or
-    "inconclusive".
+    pruning (m <= 7) and is deterministic; randomized mode draws ``budget``
+    3-regular digraphs, dropping the draws that get stuck, and can only
+    answer "witness-found" or "inconclusive".  ``nodes_explored`` counts
+    the digraphs tested.
     """
     start = time.perf_counter()
+    if m < 1:
+        raise PreconditionError(f"rigid3 needs at least 1 vertex, got m={m}")
     params = {"m": m, "mode": mode, "oriented": oriented}
     if mode == "exhaustive":
         if m > EXHAUSTIVE_RIGID_CAP:
@@ -153,7 +157,7 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
                 f"randomized mode capped at m={RANDOMIZED_RIGID_CAP}, got {m}")
         params["budget"] = budget
         params["seed"] = seed
-        witness_arcs, tested = _rigid_randomized(m, oriented, budget, seed)
+        witness_arcs, tested = _first_rigid(m, _sampled_rows(m, oriented, budget, seed))
         verdict = "witness-found" if witness_arcs is not None else "inconclusive"
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'randomized', got {mode!r}")
@@ -162,6 +166,19 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
         witness = {"n": m, "arcs": [list(a) for a in witness_arcs]}
     return SearchVerdict("rigid3", params, verdict, witness, tested,
                          time.perf_counter() - start)
+
+
+def _first_rigid(m: int, candidates):
+    """The arc list of the first candidate (a list of out-rows, one per
+    vertex) whose digraph has trivial automorphism group, or None, and the
+    number of candidates tested up to it."""
+    tested = 0
+    for rows in candidates:
+        tested += 1
+        arcs = [(u, w) for u, row in enumerate(rows) for w in row]
+        if automorphism_search(Digraph(m, arcs)).group.order == 1:
+            return arcs, tested
+    return None, tested
 
 
 def _rigid_exhaustive(m: int, oriented: bool, jobs: int):
@@ -187,33 +204,32 @@ def _rigid_exhaustive(m: int, oriented: bool, jobs: int):
 def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):
     """Sequential scan of one branch (vertex 0's out-set fixed); returns
     (first witness arc list or None, digraphs tested up to that point)."""
-    rows: list[tuple[int, ...]] = [first_row]
+    return _first_rigid(m, _branch_rows(m, [first_row], oriented))
+
+
+def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
+    """Every completion of ``rows`` (the out-rows of vertices 0, 1, ...) to
+    a loopless 3-regular digraph on m vertices, digon-free when ``oriented``,
+    in lexicographic order; a prefix is cut once an in-degree passes 3 or
+    can no longer reach it."""
+    rows = list(rows)
     indeg = [0] * m
-    for j in first_row:
-        indeg[j] += 1
-    combos = {v: list(itertools.combinations([u for u in range(m) if u != v], 3))
-              for v in range(1, m)}
-    state = {"tested": 0, "witness": None}
+    for row in rows:
+        for j in row:
+            indeg[j] += 1
+    combos = [list(itertools.combinations([u for u in range(m) if u != v], 3))
+              for v in range(m)]
 
     def feasible(next_v: int) -> bool:
         rem = m - next_v
-        for j in range(m):
-            if indeg[j] > 3:
-                return False
-            if indeg[j] + rem - (1 if j >= next_v else 0) < 3:
+        for j, d in enumerate(indeg):
+            if d > 3 or d + rem - (j >= next_v) < 3:
                 return False
         return True
 
-    def rec(v: int) -> None:
-        if state["witness"] is not None:
-            return
+    def extend(v: int):
         if v == m:
-            if all(d == 3 for d in indeg):
-                state["tested"] += 1
-                arcs = [(u, w) for u, row in enumerate(rows) for w in row]
-                digraph = Digraph(m, arcs)
-                if automorphism_search(digraph).group.order == 1:
-                    state["witness"] = arcs
+            yield list(rows)
             return
         for combo in combos[v]:
             if oriented and any(v in rows[u] for u in combo if u < v):
@@ -222,35 +238,33 @@ def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):
                 indeg[j] += 1
             rows.append(combo)
             if feasible(v + 1):
-                rec(v + 1)
+                yield from extend(v + 1)
             rows.pop()
             for j in combo:
                 indeg[j] -= 1
-            if state["witness"] is not None:
-                return
 
-    if feasible(1):
-        rec(1)
-    return state["witness"], state["tested"]
+    if feasible(len(rows)):
+        yield from extend(len(rows))
 
 
-def _rigid_randomized(m: int, oriented: bool, budget: int, seed: int):
+def _sampled_rows(m: int, oriented: bool, budget: int, seed: int):
+    """Out-rows of ``budget`` random draws of a loopless 3-regular digraph
+    on m vertices, digon-free when ``oriented``.  Vertex v picks 3 of the
+    vertices with in-degree below 3 (that do not point to v, if oriented);
+    a draw leaving some vertex fewer than 3 choices is dropped.  Out-degrees
+    are all 3 and no in-degree passes 3, so every kept draw is 3-regular."""
     rng = random.Random(seed)
-    tested = 0
     for _ in range(budget):
-        rows = [tuple(sorted(rng.sample([u for u in range(m) if u != v], 3)))
-                for v in range(m)]
         indeg = [0] * m
-        for v, row in enumerate(rows):
+        rows: list[tuple[int, ...]] = []
+        for v in range(m):
+            choices = [u for u in range(m) if u != v and indeg[u] < 3
+                       and not (oriented and u < v and v in rows[u])]
+            if len(choices) < 3:
+                break
+            row = tuple(sorted(rng.sample(choices, 3)))
             for j in row:
                 indeg[j] += 1
-        if any(d != 3 for d in indeg):
-            continue
-        if oriented and any(v in rows[u] for v, row in enumerate(rows)
-                            for u in row if u < v):
-            continue
-        tested += 1
-        arcs = [(u, w) for u, row in enumerate(rows) for w in row]
-        if automorphism_search(Digraph(m, arcs)).group.order == 1:
-            return arcs, tested
-    return None, tested
+            rows.append(row)
+        else:
+            yield rows

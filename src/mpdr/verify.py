@@ -65,11 +65,9 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
     valency = x.digraph.regular_valency()
     witness = None
     if aut.order != group.order:
-        translations = x.right_regular_group()
-        for gen in aut.generators:
-            if not translations.contains(gen):
-                witness = gen
-                break
+        # a member of R(G) is the right translation by the element it sends 1_0 to
+        witness = next((gen for gen in aut.generators
+                        if gen != x.right_translation(x.vertex_element(gen(0)))), None)
     report = VerificationReport(
         group_order=group.order,
         aut_order=aut.order,

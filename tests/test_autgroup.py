@@ -39,8 +39,8 @@ def test_brute_force_cap():
 
 
 def test_vertex_cap():
-    with pytest.raises(CapExceededError):
-        automorphism_search(Digraph(3, []), vertex_cap=2)
+    with pytest.raises(CapExceededError, match="2048 vertices"):
+        automorphism_search(Digraph(2049, []))
 
 
 def test_colors_respected():

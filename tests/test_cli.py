@@ -1,11 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mpdr import FormatError, cyclic_2pdr
+from mpdr import Digraph, FormatError, automorphism_group, cyclic_2pdr
 from mpdr.cli import main, parse_group_text
 
 # Whole CLI documents, keyed by case name: the exit code and the JSON report
@@ -217,6 +219,25 @@ def test_search_rigid3(capsys, files):
     assert doc["verdict"] == "none-exists"
 
 
+def test_search_rigid3_readme_example(capsys):
+    code, doc = run_json(capsys, ["search", "--problem", "rigid3", "--m", "12",
+                                  "--mode", "randomized", "--budget", "5000",
+                                  "--oriented"])
+    assert code == 0
+    assert doc["verdict"] == "witness-found"
+    g = Digraph(12, [tuple(a) for a in doc["witness"]["arcs"]])
+    assert g.is_k_regular(3) and g.is_oriented()
+    assert automorphism_group(g).order == 1
+
+
+def test_search_rigid3_randomized_too_few_vertices(capsys):
+    code, doc = run_json(capsys, ["search", "--problem", "rigid3", "--m", "2",
+                                  "--mode", "randomized"])
+    assert code == 0
+    assert (doc["verdict"], doc["nodes_explored"]) == ("inconclusive", 0)
+    assert capsys.readouterr().err == ""
+
+
 def test_search_drr2(capsys, files):
     code, doc = run_json(capsys, ["search", "--problem", "drr2",
                                   "--group", str(files["z5"])])
@@ -229,6 +250,8 @@ def test_search_drr2(capsys, files):
     ["--m", "6", "--jobs", "0"],
     ["--m", "6", "--jobs", "-3"],
     ["--m", "12", "--mode", "randomized", "--budget", "-5"],
+    ["--m", "0"],
+    ["--m", "-1"],
 ])
 def test_search_rejects_bad_jobs_and_budget(capsys, argv):
     assert main(["search", "--problem", "rigid3", *argv]) == 3
@@ -236,6 +259,24 @@ def test_search_rejects_bad_jobs_and_budget(capsys, argv):
     assert captured.out == ""
     assert "must be at least" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_envelope_hashes_piped_input(capsys, files):
+    """A pipe can be read once: the reported hash is of the bytes parsed."""
+    text = b"cyclic 5\n"
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, text)
+        os.close(write_fd)
+        code, doc = run_json(capsys, ["verify", "--group", f"/dev/fd/{read_fd}",
+                                      "--spec", str(files["fig"])])
+    finally:
+        os.close(read_fd)
+    assert code == 0
+    assert doc["inputs"]["group"]["sha256"] == hashlib.sha256(text).hexdigest()
+    assert doc["inputs"]["spec"]["sha256"] == \
+        hashlib.sha256(files["fig"].read_bytes()).hexdigest()
 
 
 def test_verify_color_blind_flag_rejected(capsys, files):

@@ -88,9 +88,10 @@ def test_identity_only_generator():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceededError):
-        FiniteGroup.from_permutations(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
-                                      closure_cap=10)
+    # S8 (order 40320) generated by an 8-cycle and a transposition
+    with pytest.raises(CapExceededError, match="5000 elements"):
+        FiniteGroup.from_permutations(8, [[1, 2, 3, 4, 5, 6, 7, 0],
+                                          [1, 0, 2, 3, 4, 5, 6, 7]])
 
 
 def test_non_bijective_generator_rejected():

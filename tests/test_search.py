@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -76,6 +77,35 @@ def test_rigid_m5_none_with_derangement_count():
     verdict = trivial_aut_3regular_search(5)
     assert verdict.verdict == "none-exists"
     assert verdict.nodes_explored == 44  # derangements of 5
+
+
+@pytest.mark.parametrize("m, oriented, count", [
+    (4, False, 1),     # the complete digraph on 4 vertices
+    (5, False, 44),    # derangements of 5 (complements of permutation digraphs)
+    (7, True, 2640),   # labelled regular tournaments on 7 vertices, OEIS A007079
+])
+def test_rigid_enumeration_counts(m, oriented, count):
+    """The branches' candidates, without running Aut: distinct, loopless,
+    3-regular, digon-free when oriented, and as many as the closed form."""
+    seen = set()
+    for first_row in itertools.combinations(range(1, m), 3):
+        for rows in search._branch_rows(m, [first_row], oriented):
+            g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
+            assert g.is_k_regular(3)
+            assert g.is_oriented() or not oriented
+            seen.add(tuple(rows))
+    assert len(seen) == count
+
+
+@pytest.mark.parametrize("m", [8, 12, 24])
+@pytest.mark.parametrize("oriented", [False, True])
+def test_rigid_sampler_draws_3_regular_digraphs(m, oriented):
+    kept = list(search._sampled_rows(m, oriented, 200, 5))
+    assert kept
+    for rows in kept:
+        g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
+        assert g.is_k_regular(3)
+        assert g.is_oriented() or not oriented
 
 
 def test_rigid_m6_witness():
@@ -160,11 +190,13 @@ def test_rigid_oriented_variant_m4_impossible():
 
 
 def test_rigid_oriented_witnesses_have_no_digons():
-    verdict = trivial_aut_3regular_search(7, mode="randomized", budget=500,
+    verdict = trivial_aut_3regular_search(12, mode="randomized", budget=500,
                                           oriented=True, seed=1)
-    if verdict.witness is not None:
-        g = Digraph(7, [tuple(a) for a in verdict.witness["arcs"]])
-        assert g.is_oriented()
+    assert verdict.verdict == "witness-found"
+    g = Digraph(12, [tuple(a) for a in verdict.witness["arcs"]])
+    assert g.is_oriented()
+    assert g.is_k_regular(3)
+    assert automorphism_group(g).order == 1
 
 
 def test_rigid_caps_and_modes():
@@ -174,6 +206,9 @@ def test_rigid_caps_and_modes():
         trivial_aut_3regular_search(100, mode="randomized")
     with pytest.raises(ValueError):
         trivial_aut_3regular_search(5, mode="guess")
+    for m, mode in ((0, "exhaustive"), (-1, "exhaustive"), (0, "randomized")):
+        with pytest.raises(PreconditionError, match="at least 1 vertex"):
+            trivial_aut_3regular_search(m, mode=mode)
 
 
 def test_verdict_json_shape():
