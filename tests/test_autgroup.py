@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,10 @@ from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
                   brute_force_automorphisms, build_m_cayley, cyclic_2pdr, is_pdr,
                   part_swap_automorphism, stabilizer_criterion_check,
                   two_generated_mpdr)
+
+# (order, nodes_explored, generator cycle strings) of the search core on fixed
+# digraphs, recorded once: node order and generator lists are deterministic.
+SEARCH_GOLDEN = json.loads((Path(__file__).parent / "search_golden.json").read_text())
 
 
 def random_digraph(rng, n, p, colored=False):
@@ -75,6 +81,43 @@ def test_soundness_generators_preserve():
 def test_loops_handled():
     g = Digraph(3, [(0, 0), (0, 1), (1, 2), (2, 1)], allow_loops=True)
     assert automorphism_group(g).order == brute_force_automorphisms(g).order
+
+
+def pinned_search_cases() -> dict[str, tuple[Digraph, bool]]:
+    """Name -> (digraph, ignore_colors) for the search-core pins."""
+    cases = {"K7": (Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v]),
+                    False),
+             "3xC7": (Digraph(21, [(7 * c + i, 7 * c + (i + 1) % 7)
+                                   for c in range(3) for i in range(7)]), False),
+             "cyclic_2pdr(20)": (build_m_cayley(FiniteGroup.cyclic(20),
+                                                cyclic_2pdr(20)).digraph, False)}
+    # T[0,1] = 1 + T[1,0]: a part swap, so Aut is twice R(Z_30) color-blind
+    swap = ConnectionSpec.from_sets(2, 30, {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)})
+    cases["Z30-part-swap"] = (build_m_cayley(FiniteGroup.cyclic(30), swap).digraph, True)
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        if seed % 2:
+            # circulant: vertex-transitive, so the witness searches run
+            conn = rng.sample(range(1, n), rng.randint(1, max(1, n // 3)))
+            g = Digraph(n, [(u, (u + s) % n) for u in range(n) for s in conn])
+        else:
+            g = random_digraph(rng, n, rng.choice([0.05, 0.1, 0.2]),
+                               colored=seed % 4 == 0)
+        cases[f"random-{seed}"] = (g, False)
+    return cases
+
+
+def pinned_search(name: str) -> dict:
+    digraph, ignore_colors = pinned_search_cases()[name]
+    result = automorphism_search(digraph, ignore_colors=ignore_colors)
+    return {"order": str(result.group.order), "nodes": result.nodes_explored,
+            "generators": [g.cycle_string() for g in result.group.generators]}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN["search"]))
+def test_search_core_pinned(name):
+    assert pinned_search(name) == SEARCH_GOLDEN["search"][name]
 
 
 def test_search_stats_populated():

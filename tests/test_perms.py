@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +186,18 @@ def test_base_prefix_redundant_point():
     # a base point nothing moves must not distort the order
     g = PermGroup(5, [Permutation.from_cycles("(1 2 3 4)", 5)], base=(0,))
     assert g.order == 4
+
+
+def pinned_chain_outputs() -> dict[str, list[str]]:
+    """Element order of S_4 and the stabilizer generators of S_5."""
+    s4 = PermGroup(4, [Permutation.from_cycles("(0 1 2 3)", 4),
+                       Permutation.from_cycles("(0 1)", 4)])
+    s5 = PermGroup(5, [Permutation.from_cycles("(0 1 2 3 4)", 5),
+                       Permutation.from_cycles("(0 1)", 5)])
+    return {"S4-elements": [g.cycle_string() for g in s4.elements()],
+            "S5-stabilizer-0": [g.cycle_string() for g in s5.point_stabilizer(0).generators]}
+
+
+def test_chain_outputs_pinned():
+    golden = json.loads((Path(__file__).parent / "search_golden.json").read_text())
+    assert pinned_chain_outputs() == golden["perms"]
