@@ -2,11 +2,12 @@
 
 The solver refines vertex partitions to equitability using per-cell
 (out-arc, in-arc, digon-edge) count profiles, then runs individualize-and-
-refine backtracking.  Discovered automorphisms prune the search two ways:
-vertices in a common orbit of the group found so far are interchangeable
-as branch choices along the leftmost path, and any subtree rooted off the
-leftmost path is abandoned as soon as it yields one automorphism (one
-witness per branch target suffices to generate the group).
+refine search (McKay & Piperno, *Practical Graph Isomorphism II*, 2014) in
+two loops.  The first walks the leftmost path to its leaf, recording the
+shape every node at each depth must match.  The second, deepest level first,
+searches each branch outside the orbits of the branches explored there
+(under the group found so far) depth-first on an explicit stack, until one
+leaf yields an automorphism: one witness per branch suffices.
 
 Cell order is part of the partition value and every tie-break (splitter
 order, key order, target cell, branch order) is structural, so equal
@@ -16,7 +17,6 @@ inputs produce identical generator lists.
 from __future__ import annotations
 
 import itertools
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -55,16 +55,7 @@ def automorphism_search(digraph: Digraph, *,
             f"automorphism search capped at {VERTEX_CAP} vertices, got {digraph.n}")
     start = time.perf_counter()
     search = _AutSearch(digraph, ignore_colors=ignore_colors)
-    limit = sys.getrecursionlimit()
-    needed = 3 * digraph.n + 200
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        group = search.run()
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
-    return AutSearchResult(group, search.nodes, time.perf_counter() - start)
+    return AutSearchResult(search.run(), search.nodes, time.perf_counter() - start)
 
 
 def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
@@ -112,9 +103,9 @@ class _AutSearch:
         self.initial = initial
         self.nodes = 0
         self.group = PermGroup(self.n, [])
-        self.first_leaf: tuple[int, ...] | None = None
-        # depth -> (cell-size shape, ((position, vertex) for singleton cells))
-        self.first_info: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
+        self.first_leaf: tuple[int, ...] = ()
+        # per path depth: (cell-size shape, (position, vertex) of singletons)
+        self.first_info: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
         self.parent = list(range(self.n))
 
     # -- union-find over found automorphisms --------------------------------
@@ -180,60 +171,63 @@ class _AutSearch:
     def run(self) -> PermGroup:
         cells = [sorted(c) for c in self.initial]
         cells = self._refine(cells, deque(_mask(c) for c in cells))
-        self._rec(cells, 0, True)
-        return self.group
-
-    def _rec(self, cells: list[list[int]], depth: int, on_path: bool) -> bool:
-        """Returns True iff an automorphism was found in this subtree; the
-        signal makes off-path ancestors backjump to the leftmost path."""
-        self.nodes += 1
-        shape = tuple(len(c) for c in cells)
-        singles = tuple((i, c[0]) for i, c in enumerate(cells) if len(c) == 1)
-        if on_path:
-            self.first_info[depth] = (shape, singles)
-        else:
-            info = self.first_info.get(depth)
-            if info is None or info[0] != shape:
-                return False
-            if not self._consistent(info[1], singles):
-                return False
-
-        if len(shape) == self.n:
-            return self._leaf(tuple(c[0] for c in cells))
-
-        _, target = min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)
-        cell = cells[target]
-        explored: list[int] = []
-        for branch, v in enumerate(cell):
-            child_on_path = on_path and branch == 0
-            if on_path and not child_on_path:
+        path: list[tuple[list[list[int]], int]] = []  # (partition, target) per level
+        while True:
+            self.nodes += 1
+            self.first_info.append((tuple(map(len, cells)), _singles(cells)))
+            if len(cells) == self.n:
+                break
+            target = _target(cells)
+            path.append((cells, target))
+            cells = self._child(cells, target, cells[target][0])
+        self.first_leaf = tuple(c[0] for c in cells)
+        for depth in range(len(path) - 1, -1, -1):
+            cells, target = path[depth]
+            explored = [cells[target][0]]
+            for v in cells[target][1:]:
                 rv = self._find(v)
                 if any(self._find(w) == rv for w in explored):
                     continue
-            rest = [u for u in cell if u != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1:]
-            got = self._rec(self._refine(child, deque([1 << v, _mask(rest)])),
-                            depth + 1, child_on_path)
-            explored.append(v)
-            if got and not on_path:
-                return True
-        return False
+                self._witness(cells, target, v, depth + 1)
+                explored.append(v)
+        return self.group
+
+    def _child(self, cells: list[list[int]], target: int, v: int) -> list[list[int]]:
+        """The refined partition after individualizing v in cells[target]."""
+        rest = [u for u in cells[target] if u != v]
+        child = cells[:target] + [[v], rest] + cells[target + 1:]
+        return self._refine(child, deque([1 << v, _mask(rest)]))
+
+    def _witness(self, cells: list[list[int]], target: int, v: int, depth: int) -> None:
+        """Depth-first, left to right, below branch v of cells[target] until a
+        leaf yields an automorphism.  Stack entries are nodes not yet refined:
+        (parent partition, target cell, branch vertex, depth)."""
+        stack = [(cells, target, v, depth)]
+        while stack:
+            cells, target, v, depth = stack.pop()
+            cells = self._child(cells, target, v)
+            self.nodes += 1
+            shape, singles = self.first_info[depth]
+            if tuple(map(len, cells)) != shape or not self._consistent(singles, _singles(cells)):
+                continue
+            if len(cells) < self.n:
+                target = _target(cells)
+                stack.extend((cells, target, u, depth + 1) for u in reversed(cells[target]))
+            elif self._leaf(tuple(c[0] for c in cells)):
+                return
 
     def _leaf(self, leaf: tuple[int, ...]) -> bool:
-        if self.first_leaf is None:
-            self.first_leaf = leaf
-            return False
         images = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
             images[a] = b
         # colors hold by construction (cells refine color classes positionally)
         if not self.g.is_automorphism(images, respect_colors=False):
             return False
-        # a member of the group found so far is still a witness for its
-        # branch target, but adds no generator and no new orbit merges
-        if self.group._extend(Permutation(images)):
-            for a, b in zip(self.first_leaf, leaf):
-                self._union(a, b)
+        # never a member of the group found so far: it fixes the path above its
+        # level and maps the path vertex there outside that vertex's orbit
+        self.group._extend(Permutation(images))
+        for a, b in zip(self.first_leaf, leaf):
+            self._union(a, b)
         return True
 
     def _consistent(self, first_singles: tuple[tuple[int, int], ...],
@@ -263,6 +257,15 @@ class _AutSearch:
                 if not out_bits[b] >> amap[w] & 1:
                     return False
         return arc_count_a == arc_count_b
+
+
+def _singles(cells: list[list[int]]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, c[0]) for i, c in enumerate(cells) if len(c) == 1)
+
+
+def _target(cells: list[list[int]]) -> int:
+    """The first smallest non-singleton cell."""
+    return min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)[1]
 
 
 def _mask(vertices) -> int:

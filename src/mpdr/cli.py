@@ -71,10 +71,11 @@ def _read(path: str, role: str, inputs: dict) -> str:
     bytes read under ``role`` in ``inputs``: a pipe cannot be read twice."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+        text = data.decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     inputs[role] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return data.decode()
+    return text
 
 
 def _envelope(inputs: dict) -> dict:

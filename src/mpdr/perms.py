@@ -8,6 +8,8 @@ order, a membership test, orbits and point stabilizers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -201,48 +203,46 @@ class PermGroup:
         return g, len(self._levels)
 
     def _insert(self, g: Permutation) -> bool:
-        """Add a generator, repairing the chain. Returns False if redundant."""
-        residue, level = self._strip(g)
+        """Add a generator, repairing the chain. Returns False if redundant.
+
+        ``pending`` stacks the levels still to complete, the next on top.  A
+        residue stuck at level ``at`` while ``level`` is checked joins the
+        chain, and levels ``at`` down to ``level + 1`` are completed first."""
+        residue, at = self._strip(g)
         if residue.is_identity():
             return False
-        if level == len(self._levels):
-            moved = next(i for i, j in enumerate(residue.images) if i != j)
-            self._levels.append(_Level(moved))
-        self._levels[level].gens.append(residue)
-        for i in range(level, -1, -1):
-            self._complete_level(i)
+        self._add_strong(residue, at)
+        pending = list(range(at + 1))
+        while pending:
+            level = pending[-1]
+            self._rebuild_orbit(level)
+            found = self._schreier_residue(level)
+            if found is None:
+                pending.pop()
+            else:
+                self._add_strong(*found)
+                pending.extend(range(level + 1, found[1] + 1))
         return True
 
-    def _complete_level(self, level: int) -> None:
-        """Re-establish that the level's Schreier generators all sift to the
-        identity through the deeper chain; restarts after each repair."""
-        while True:
-            self._rebuild_orbit(level)
-            lvl = self._levels[level]
-            gens = self._gens_at(level)
-            dirty = False
-            for p in list(lvl.transversal):
-                t_p = lvl.transversal[p]
-                for s in gens:
-                    t_q = lvl.transversal[s(p)]
-                    schreier = t_p * s * t_q.inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue, at = self._strip(schreier, level + 1)
-                    if residue.is_identity():
-                        continue
-                    if at == len(self._levels):
-                        moved = next(i for i, j in enumerate(residue.images) if i != j)
-                        self._levels.append(_Level(moved))
-                    self._levels[at].gens.append(residue)
-                    for j in range(at, level, -1):
-                        self._complete_level(j)
-                    dirty = True
-                    break
-                if dirty:
-                    break
-            if not dirty:
-                return
+    def _add_strong(self, residue: Permutation, at: int) -> None:
+        if at == len(self._levels):
+            moved = next(i for i, j in enumerate(residue.images) if i != j)
+            self._levels.append(_Level(moved))
+        self._levels[at].gens.append(residue)
+
+    def _schreier_residue(self, level: int) -> tuple[Permutation, int] | None:
+        """The first Schreier generator of the level whose residue through
+        the deeper chain is not the identity, as (residue, level it stuck
+        at); None when the level is complete."""
+        transversal = self._levels[level].transversal
+        for (p, t_p), s in itertools.product(transversal.items(), self._gens_at(level)):
+            schreier = t_p * s * transversal[s(p)].inverse()
+            if schreier.is_identity():
+                continue
+            residue, at = self._strip(schreier, level + 1)
+            if not residue.is_identity():
+                return residue, at
+        return None
 
     def _extend(self, g: Permutation) -> bool:
         """Add a generator in place, keeping the chain complete.  Returns
@@ -321,20 +321,14 @@ class PermGroup:
         return all(g(p) == p for g in self.generators for p in pts)
 
     def elements(self) -> Iterator[Permutation]:
-        """Every element, by transversal products. Guarded by a hard cap."""
+        """Every element, by transversal products, the first level varying
+        fastest. Guarded by a hard cap."""
         if self.order > _ELEMENT_CAP:
             raise CapExceededError(f"refusing to enumerate {self.order} elements")
-
-        def rec(level: int) -> Iterator[Permutation]:
-            if level == len(self._levels):
-                yield Permutation.identity(self.degree)
-                return
-            lvl = self._levels[level]
-            for rest in rec(level + 1):
-                for p in sorted(lvl.transversal):
-                    yield rest * lvl.transversal[p]
-
-        return rec(0)
+        transversals = [[lvl.transversal[p] for p in sorted(lvl.transversal)]
+                        for lvl in reversed(self._levels)]
+        return (functools.reduce(Permutation.__mul__, reps, Permutation.identity(self.degree))
+                for reps in itertools.product(*transversals))
 
     def to_json_dict(self) -> dict:
         """Report form: order as a decimal string, generators in cycles."""

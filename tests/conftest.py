@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mpdr import FiniteGroup
@@ -10,6 +12,14 @@ Q8_GENS = [[2, 3, 1, 0, 7, 6, 4, 5],                  # right mult. by i and j o
            [4, 5, 6, 7, 1, 0, 3, 2]]                  # (1,-1,i,-i,j,-j,k,-k)
 Z2Z4_GENS = [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]  # order-2 and order-4 parts
 A5_GENS = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]          # 5-cycle, 3-cycle
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    """No code path may leave the interpreter's recursion limit changed."""
+    before = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == before, "test changed sys.getrecursionlimit()"
 
 
 @pytest.fixture(scope="session")

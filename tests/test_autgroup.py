@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,16 @@ def pinned_search(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN["search"]))
 def test_search_core_pinned(name):
     assert pinned_search(name) == SEARCH_GOLDEN["search"][name]
+
+
+def test_search_leaves_recursion_limit_alone(monkeypatch):
+    # 400 vertices: a search that sized the limit by n (3n + 200) would raise it
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    cycle = Digraph(400, [(i, (i + 1) % 400) for i in range(400)])
+    assert automorphism_search(cycle).group.order == 400
 
 
 def test_search_stats_populated():

@@ -162,6 +162,15 @@ def test_verify_malformed_spec_exit_3(capsys, files):
     assert main(["verify", "--group", str(files["z3"]), "--spec", str(missing)]) == 3
 
 
+def test_non_utf8_input_exit_3(capsys, files):
+    bad = files["tmp"] / "bad.grp"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["search", "--problem", "drr2", "--group", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_aut_digraph(capsys, files):
     code, doc = run_json(capsys, ["aut", "--digraph", str(files["tri"])])
     assert code == 0
