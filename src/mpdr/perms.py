@@ -225,6 +225,7 @@ class PermGroup:
         return True
 
     def _add_strong(self, residue: Permutation, at: int) -> None:
+        """Make residue a strong generator at level ``at``, opening it if new."""
         if at == len(self._levels):
             moved = next(i for i, j in enumerate(residue.images) if i != j)
             self._levels.append(_Level(moved))
