@@ -9,9 +9,22 @@ searches each branch outside the orbits of the branches explored there
 (under the group found so far) depth-first on an explicit stack, until one
 leaf yields an automorphism: one witness per branch suffices.
 
+A partition is one ``lab`` array holding the cells side by side, with an
+index from each vertex to its position and to its cell's id, and each
+cell's first index and size kept by id.  Refinement is neighbour-driven, as
+in nauty and bliss (Junttila & Kaski, ALENEX 2007): a splitter visits only
+its vertices' arcs and digons and splits only the cells they hit.  The last
+fragment of a split is never a splitter, and a fragment larger than the
+rest of its cell is processed through its siblings, so no vertex is
+walked for the larger side of a split (as with Hopcroft's rule) and a
+refinement costs O(m log n) rather than O(n) per splitter.  Cells are split
+in exactly the order of processing every fragment directly.
+
 Cell order is part of the partition value and every tie-break (splitter
 order, key order, target cell, branch order) is structural, so equal
-inputs produce identical generator lists.
+inputs produce identical generator lists.  Order inside a cell is not: only
+the target cell's vertices become branches, so the search sorts that cell
+when it picks it, and every other cell's order never reaches the output.
 """
 
 from __future__ import annotations
@@ -27,6 +40,10 @@ from .perms import PermGroup, Permutation
 
 VERTEX_CAP = 2048
 BRUTE_FORCE_CAP = 9
+
+# (lab, pos, cell, first, size): the vertices cell by cell, each vertex's
+# index in lab, each vertex's cell id, and each cell's first index and size
+_Partition = tuple[list[int], list[int], list[int], list[int], list[int]]
 
 
 @dataclass
@@ -89,24 +106,34 @@ class _AutSearch:
 
     def __init__(self, digraph: Digraph, ignore_colors: bool):
         self.g = digraph
-        self.n = digraph.n
+        n = self.n = digraph.n
         self.out_bits = digraph.out_bits
-        self.in_bits = digraph.in_bits
-        self.digon_bits = digraph.digon_bits
         if ignore_colors or digraph.vertex_color is None:
-            initial = [list(range(self.n))]
+            initial = [list(range(n))]
         else:
             classes: dict[int, list[int]] = {}
             for v, c in enumerate(digraph.vertex_color):
                 classes.setdefault(c, []).append(v)
             initial = [classes[c] for c in sorted(classes)]
-        self.initial = initial
+        # the color classes as a partition, in color order
+        lab = [v for cls in initial for v in cls]
+        first = list(itertools.accumulate(map(len, initial[:-1]), initial=0))
+        size = list(map(len, initial))
+        pos, cell = [0] * n, [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        for c, cls in enumerate(initial):
+            for v in cls:
+                cell[v] = c
+        self.root: _Partition = (lab, pos, cell, first, size)
+        self.digon_adj = [tuple(v for v in digraph.out_adj[u]
+                                if digraph.digon_bits[u] >> v & 1) for u in range(n)]
         self.nodes = 0
-        self.group = PermGroup(self.n, [])
+        self.group = PermGroup(n, [])
         self.first_leaf: tuple[int, ...] = ()
-        # per path depth: (cell-size shape, (position, vertex) of singletons)
+        # per path depth: (cell-size shape, (index, vertex) of singletons)
         self.first_info: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-        self.parent = list(range(self.n))
+        self.parent = list(range(n))
 
     # -- union-find over found automorphisms --------------------------------
 
@@ -124,96 +151,151 @@ class _AutSearch:
 
     # -- equitable refinement ------------------------------------------------
 
-    def _refine(self, cells: list[list[int]], queue: deque[int]) -> list[list[int]]:
-        """Split cells by (out, in, digon) counts into splitter sets until no
-        queued splitter separates anything.  Stale splitter masks are unions
-        of current cells, which is still a sound splitting invariant."""
-        out_bits, in_bits, digon_bits = self.out_bits, self.in_bits, self.digon_bits
-        masks = [_mask(c) for c in cells]
+    def _refine(self, part: _Partition,
+                queue: list[tuple[int, int, tuple[int, int] | None]]) -> _Partition:
+        """Refine ``part`` in place to equitability.
+
+        ``queue`` holds splitters ``(a, b, parent)``: the vertices in
+        ``lab[a:b]``, a fragment of the cell that was ``lab[parent[0]:
+        parent[1]]`` (None for the color classes).  Splits happen in place,
+        so a range keeps its vertex set.  A splitter walks only its
+        vertices' in, out and digon lists, counting for each neighbour its
+        (out, in, digon) arcs into the splitter.  Each cell hit, in
+        position order, splits into fragments in key order, the untouched
+        vertices (key 0) first and keeping the cell's id, and the fragments
+        are queued in that order.
+
+        A fragment is processed after its parent (first in, first out), or
+        its parent was a cell of the equitable partition a child starts
+        from, so the parent's counts are constant on every cell by then, and
+        a fragment's counts are the parent's minus its siblings'.  Hence the
+        last fragment, processed after all its siblings, would split nothing
+        and is not queued; and a fragment larger than the rest of its parent
+        is processed through its siblings, ordering each cell by descending
+        sibling counts, untouched last.  Order inside a cell is arbitrary."""
+        lab, pos, cell, first, size = part
+        out_adj, in_adj, digon_adj = self.g.out_adj, self.g.in_adj, self.digon_adj
+        # a (out, in, digon) count key packed base n + 1: integer order is
+        # tuple order
+        out_w, in_w = (self.n + 1) ** 2, self.n + 1
+        queue = deque(queue)
         while queue:
-            smask = queue.popleft()
-            touched = 0
-            m = smask
-            while m:
-                low = m & -m
-                s = low.bit_length() - 1
-                m ^= low
-                touched |= out_bits[s] | in_bits[s]
-            new_cells: list[list[int]] = []
-            new_masks: list[int] = []
-            for cell, cmask in zip(cells, masks):
-                if len(cell) == 1 or not cmask & touched:
-                    new_cells.append(cell)
-                    new_masks.append(cmask)
+            a, b, parent = queue.popleft()
+            through_siblings = parent is not None and 2 * (b - a) > parent[1] - parent[0]
+            if through_siblings:
+                splitter = lab[parent[0]:a] + lab[b:parent[1]]
+            else:
+                splitter = lab[a:b]
+            key: dict[int, int] = {}
+            get = key.get
+            for u in splitter:
+                for v in in_adj[u]:
+                    key[v] = get(v, 0) + out_w
+                for v in out_adj[u]:
+                    key[v] = get(v, 0) + in_w
+                for v in digon_adj[u]:
+                    key[v] = get(v, 0) + 1
+            hit: dict[int, list[int]] = {}
+            for v in key:
+                c = cell[v]
+                if size[c] > 1:
+                    if c in hit:
+                        hit[c].append(v)
+                    else:
+                        hit[c] = [v]
+            for c in sorted(hit, key=first.__getitem__):
+                touched = hit[c]
+                touched.sort(key=key.__getitem__, reverse=through_siblings)
+                lo, hi = first[c], first[c] + size[c]
+                if len(touched) == size[c] and key[touched[0]] == key[touched[-1]]:
                     continue
-                groups: dict[tuple[int, int, int], list[int]] = {}
-                for v in cell:
-                    key = ((out_bits[v] & smask).bit_count(),
-                           (in_bits[v] & smask).bit_count(),
-                           (digon_bits[v] & smask).bit_count())
-                    groups.setdefault(key, []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                    new_masks.append(cmask)
-                    continue
-                for key in sorted(groups):
-                    sub = groups[key]
-                    submask = _mask(sub)
-                    new_cells.append(sub)
-                    new_masks.append(submask)
-                    queue.append(submask)
-            cells = new_cells
-            masks = new_masks
-        return cells
+                # the touched vertices go to the cell's front or back, in order
+                t0 = lo if through_siblings else hi - len(touched)
+                for q, v in enumerate(touched, t0):
+                    p, w = pos[v], lab[q]
+                    lab[p], pos[w] = w, p
+                    lab[q], pos[v] = v, q
+                frags = [q for q in range(t0, t0 + len(touched))
+                         if q == t0 or key[lab[q]] != key[lab[q - 1]]]
+                if len(touched) < size[c]:
+                    untouched = t0 + len(touched) if through_siblings else lo
+                    frags.append(untouched)
+                    frags.sort()
+                else:
+                    untouched = lo
+                ends = frags[1:] + [hi]
+                for f, g in zip(frags, ends):
+                    if f == untouched:
+                        first[c], size[c] = f, g - f
+                        continue
+                    new = len(first)
+                    first.append(f)
+                    size.append(g - f)
+                    for v in lab[f:g]:
+                        cell[v] = new
+                queue.extend((f, g, (lo, hi)) for f, g in zip(frags[:-1], ends))
+        return part
 
     # -- search ----------------------------------------------------------------
 
     def run(self) -> PermGroup:
-        cells = [sorted(c) for c in self.initial]
-        cells = self._refine(cells, deque(_mask(c) for c in cells))
-        path: list[tuple[list[list[int]], int]] = []  # (partition, target) per level
+        first, size = self.root[3], self.root[4]
+        part = self._refine(self.root, [(f, f + k, None) for f, k in zip(first, size)])
+        path: list[tuple[_Partition, int, list[int]]] = []  # per level
         while True:
             self.nodes += 1
-            self.first_info.append((tuple(map(len, cells)), _singles(cells)))
-            if len(cells) == self.n:
+            shape, singles, target = _summary(part)
+            self.first_info.append((shape, singles))
+            if target is None:
                 break
-            target = _target(cells)
-            path.append((cells, target))
-            cells = self._child(cells, target, cells[target][0])
-        self.first_leaf = tuple(c[0] for c in cells)
+            branches = _cell(part, target)
+            path.append((part, target, branches))
+            part = self._child(part, target, branches[0])
+        self.first_leaf = tuple(part[0])
         for depth in range(len(path) - 1, -1, -1):
-            cells, target = path[depth]
-            explored = [cells[target][0]]
-            for v in cells[target][1:]:
+            part, target, branches = path[depth]
+            explored = [branches[0]]
+            for v in branches[1:]:
                 rv = self._find(v)
                 if any(self._find(w) == rv for w in explored):
                     continue
-                self._witness(cells, target, v, depth + 1)
+                self._witness(part, target, v, depth + 1)
                 explored.append(v)
         return self.group
 
-    def _child(self, cells: list[list[int]], target: int, v: int) -> list[list[int]]:
-        """The refined partition after individualizing v in cells[target]."""
-        rest = [u for u in cells[target] if u != v]
-        child = cells[:target] + [[v], rest] + cells[target + 1:]
-        return self._refine(child, deque([1 << v, _mask(rest)]))
+    def _child(self, part: _Partition, target: int, v: int) -> _Partition:
+        """The refined partition after individualizing v in the cell starting
+        at ``target``: v becomes a singleton cell there, before the rest."""
+        lab, pos, cell, first, size = (list(a) for a in part)
+        p, w = pos[v], lab[target]
+        lab[p], pos[w] = w, p
+        lab[target], pos[v] = v, target
+        rest = cell[v]
+        end = first[rest] + size[rest]
+        first[rest], size[rest] = target + 1, size[rest] - 1
+        cell[v] = len(first)
+        first.append(target)
+        size.append(1)
+        # the rest is the last fragment of the target cell: never a splitter
+        return self._refine((lab, pos, cell, first, size), [(target, target + 1, (target, end))])
 
-    def _witness(self, cells: list[list[int]], target: int, v: int, depth: int) -> None:
-        """Depth-first, left to right, below branch v of cells[target] until a
-        leaf yields an automorphism.  Stack entries are nodes not yet refined:
-        (parent partition, target cell, branch vertex, depth)."""
-        stack = [(cells, target, v, depth)]
+    def _witness(self, part: _Partition, target: int, v: int, depth: int) -> None:
+        """Depth-first, left to right, below branch v of the target cell until
+        a leaf yields an automorphism.  Stack entries are nodes not yet
+        refined: (parent partition, target cell, branch vertex, depth)."""
+        stack = [(part, target, v, depth)]
         while stack:
-            cells, target, v, depth = stack.pop()
-            cells = self._child(cells, target, v)
+            part, target, v, depth = stack.pop()
+            part = self._child(part, target, v)
             self.nodes += 1
-            shape, singles = self.first_info[depth]
-            if tuple(map(len, cells)) != shape or not self._consistent(singles, _singles(cells)):
+            shape, singles, target = _summary(part)
+            first_shape, first_singles = self.first_info[depth]
+            if shape != first_shape or not self._consistent(first_singles, singles):
                 continue
-            if len(cells) < self.n:
-                target = _target(cells)
-                stack.extend((cells, target, u, depth + 1) for u in reversed(cells[target]))
-            elif self._leaf(tuple(c[0] for c in cells)):
+            if target is not None:
+                stack.extend((part, target, u, depth + 1)
+                             for u in reversed(_cell(part, target)))
+            elif self._leaf(tuple(part[0])):
                 return
 
     def _leaf(self, leaf: tuple[int, ...]) -> bool:
@@ -259,17 +341,28 @@ class _AutSearch:
         return arc_count_a == arc_count_b
 
 
-def _singles(cells: list[list[int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, c[0]) for i, c in enumerate(cells) if len(c) == 1)
+def _summary(part: _Partition):
+    """(cell-size shape, (first index, vertex) of each singleton cell, first
+    index of the first smallest non-singleton cell or None when the
+    partition is discrete)."""
+    lab, _, cell, _, size = part
+    shape, singles = [], []
+    target, smallest = None, len(lab) + 1
+    q = 0
+    while q < len(lab):
+        k = size[cell[lab[q]]]
+        shape.append(k)
+        if k == 1:
+            singles.append((q, lab[q]))
+        elif k < smallest:
+            target, smallest = q, k
+        q += k
+    return tuple(shape), tuple(singles), target
 
 
-def _target(cells: list[list[int]]) -> int:
-    """The first smallest non-singleton cell."""
-    return min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)[1]
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+def _cell(part: _Partition, q: int) -> list[int]:
+    """The vertices of the cell starting at index q, sorted: order inside a
+    cell is arbitrary, and only the target cell's order (the branch order)
+    is part of the search's output."""
+    lab, _, cell, _, size = part
+    return sorted(lab[q:q + size[cell[lab[q]]]])

@@ -6,7 +6,8 @@ of each input file.  Exit codes are a stable contract:
 
   0  success (for ``verify``: the representation property holds)
   1  verified false
-  2  a precondition or known-exception was hit (the message explains it)
+  2  a precondition or known-exception was hit, or memory ran out (the
+     message explains it)
   3  unreadable or malformed input
 """
 
@@ -342,6 +343,9 @@ def main(argv=None) -> int:
         return 2
     except MpdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return 2
 
 

@@ -38,8 +38,17 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple already known to be a permutation, skipping the
+        validation in ``__init__``: products and inverses of permutations
+        are permutations."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    @classmethod
     def identity(cls, degree: int) -> Permutation:
-        return cls(range(degree))
+        return cls._unchecked(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> Permutation:
@@ -72,17 +81,16 @@ class Permutation:
 
     def __mul__(self, other: Permutation) -> Permutation:
         """self, then other."""
-        o = other.images
-        return Permutation([o[i] for i in self.images])
+        return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         n = 1
@@ -234,13 +242,16 @@ class PermGroup:
     def _schreier_residue(self, level: int) -> tuple[Permutation, int] | None:
         """The first Schreier generator of the level whose residue through
         the deeper chain is not the identity, as (residue, level it stuck
-        at); None when the level is complete."""
+        at); None when the level is complete.  A generator is the identity
+        exactly when t_p * s equals the transversal element of s(p), which
+        is tested before any inverse is built."""
         transversal = self._levels[level].transversal
         for (p, t_p), s in itertools.product(transversal.items(), self._gens_at(level)):
-            schreier = t_p * s * transversal[s(p)].inverse()
-            if schreier.is_identity():
+            t_ps = t_p * s
+            t_q = transversal[s(p)]
+            if t_ps == t_q:
                 continue
-            residue, at = self._strip(schreier, level + 1)
+            residue, at = self._strip(t_ps * t_q.inverse(), level + 1)
             if not residue.is_identity():
                 return residue, at
         return None

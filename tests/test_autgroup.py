@@ -1,10 +1,13 @@
 import json
+import math
 import random
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
+from mpdr import autgroup
 from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
                   automorphism_group, automorphism_search,
                   brute_force_automorphisms, build_m_cayley, cyclic_2pdr, is_pdr,
@@ -84,6 +87,87 @@ def test_loops_handled():
     assert automorphism_group(g).order == brute_force_automorphisms(g).order
 
 
+def reference_refine(digraph: Digraph, cells, splitters):
+    """Refinement by definition: each queued vertex set splits every cell by
+    (out, in, digon) counts into it, fragments in count order, and every
+    fragment is queued."""
+    out = [set(digraph.out_adj[v]) for v in range(digraph.n)]
+    inn = [set(digraph.in_adj[v]) for v in range(digraph.n)]
+    digon = [(out[v] & inn[v]) - {v} for v in range(digraph.n)]
+    queue = deque(set(s) for s in splitters)
+    while queue:
+        s = queue.popleft()
+        refined = []
+        for cell in cells:
+            groups: dict[tuple[int, int, int], list[int]] = {}
+            for v in cell:
+                key = (len(out[v] & s), len(inn[v] & s), len(digon[v] & s))
+                groups.setdefault(key, []).append(v)
+            fragments = [groups[key] for key in sorted(groups)]
+            refined.extend(fragments)
+            if len(fragments) > 1:
+                queue.extend(set(f) for f in fragments)
+        cells = refined
+    return [sorted(c) for c in cells]
+
+
+def partition_cells(part) -> list[list[int]]:
+    lab, _, cell, _, size = part
+    cells, q = [], 0
+    while q < len(lab):
+        k = size[cell[lab[q]]]
+        cells.append(sorted(lab[q:q + k]))
+        q += k
+    return cells
+
+
+def test_refinement_matches_definition():
+    """The neighbour-driven refinement skips splitters and walks siblings in
+    place of large fragments, yet must split cells in the same order as the
+    refinement by definition: cell order decides the target cells, so the
+    generators too."""
+    rng = random.Random(5)
+    for i in range(150):
+        n = rng.randint(1, 16)
+        if i % 3:
+            p = rng.choice([0.1, 0.2, 0.4])
+            arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
+        else:
+            # relabeled circulants: large cells, so many children to refine
+            sigma = rng.sample(range(n), n)
+            shifts = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            arcs = [(sigma[u], sigma[(u + t) % n]) for u in range(n) for t in shifts]
+        colors = [rng.randint(0, 1) for _ in range(n)] if i % 2 else None
+        digraph = Digraph(n, arcs, vertex_color=colors, allow_loops=True)
+        search = autgroup._AutSearch(digraph, ignore_colors=False)
+        initial = partition_cells(search.root)
+        root = search._refine(search.root, [(f, f + k, None)
+                                            for f, k in zip(search.root[3], search.root[4])])
+        cells = reference_refine(digraph, initial, initial)
+        assert partition_cells(root) == cells
+        start = 0
+        for q, cell in enumerate(cells):
+            for v in cell if len(cell) > 1 else ():
+                rest = [u for u in cell if u != v]
+                split = cells[:q] + [[v], rest] + cells[q + 1:]
+                child = search._child(root, start, v)
+                assert partition_cells(child) == reference_refine(digraph, split, [[v], rest])
+            start += len(cell)
+
+
+def test_cell_order_pinned():
+    """A spec whose generators change when the largest fragment of a split
+    is dropped as a splitter (plain Hopcroft): that reorders the cells."""
+    spec = ConnectionSpec.from_sets(2, 8, {(0, 1): (0, 1, 2), (1, 0): (0, 6, 7)})
+    digraph = build_m_cayley(FiniteGroup.cyclic(8), spec).digraph
+    result = automorphism_search(digraph, ignore_colors=True)
+    assert (result.group.order, result.nodes_explored) == (32, 8)
+    assert [g.cycle_string() for g in result.group.generators] == [
+        "(1 7)(2 6)(3 5)(8 10)(11 15)(12 14)",
+        "(0 1)(2 7)(3 6)(4 5)(8 11)(9 10)(12 15)(13 14)",
+        "(0 8 6 14 4 12 2 10)(1 9 7 15 5 13 3 11)"]
+
+
 def pinned_search_cases() -> dict[str, tuple[Digraph, bool]]:
     """Name -> (digraph, ignore_colors) for the search-core pins."""
     cases = {"K7": (Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v]),
@@ -136,6 +220,127 @@ def test_search_stats_populated():
     assert result.group.order == 3
     assert result.nodes_explored >= 1
     assert result.elapsed >= 0
+
+
+# -- oracles beyond brute force ---------------------------------------------------
+
+
+def relabeled(digraph: Digraph, sigma: list[int]) -> Digraph:
+    """The image of the digraph under the vertex map v -> sigma[v]."""
+    colors = None
+    if digraph.vertex_color is not None:
+        colors = [0] * digraph.n
+        for v, c in enumerate(digraph.vertex_color):
+            colors[sigma[v]] = c
+    return Digraph(digraph.n, [(sigma[u], sigma[v]) for u, v in digraph.arcs()],
+                   vertex_color=colors, allow_loops=True)
+
+
+def disjoint_copies(n: int, arcs, k: int, colors=None) -> Digraph:
+    """k disjoint copies of a digraph on n vertices; copy c gets colors[c]."""
+    return Digraph(k * n, [(c * n + u, c * n + v) for c in range(k) for u, v in arcs],
+                   vertex_color=None if colors is None else [colors[c] for c in range(k)
+                                                             for _ in range(n)],
+                   allow_loops=True)
+
+
+def test_relabeling_invariance_2000_vertices():
+    """Relabeling by sigma conjugates the group: sigma^-1 g sigma for each
+    generator g must lie in the group found for the image, of equal order.
+    The node count is not compared: the witness searches try branches in
+    label order, so how many generators are needed depends on the labels."""
+    digraph = build_m_cayley(FiniteGroup.cyclic(1000), cyclic_2pdr(1000)).digraph
+    assert digraph.n == 2000
+    group = automorphism_group(digraph)
+    assert group.order == 1000
+    for seed in range(3):
+        sigma = random.Random(seed).sample(range(digraph.n), digraph.n)
+        image = automorphism_group(relabeled(digraph, sigma))
+        assert image.order == 1000
+        for g in group.generators:
+            conjugate = [0] * digraph.n
+            for v in range(digraph.n):
+                conjugate[sigma[v]] = sigma[g(v)]
+            assert image.contains(conjugate)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 300])
+def test_directed_cycle_order(n):
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    assert automorphism_group(Digraph(n, cycle)).order == n
+    # a loop on every vertex changes nothing
+    looped = Digraph(n, cycle + [(i, i) for i in range(n)], allow_loops=True)
+    assert automorphism_group(looped).order == n
+
+
+@pytest.mark.parametrize("q", [7, 11, 19, 23])
+def test_paley_tournament_order(q):
+    squares = {x * x % q for x in range(1, q)}
+    paley = Digraph(q, [(u, v) for u in range(q) for v in range(q) if (v - u) % q in squares])
+    assert automorphism_group(paley).order == q * (q - 1) // 2
+
+
+# connected and rigid: the triangle's rotations must fix 0, its only vertex
+# of out-degree 2
+RIGID = (4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+# connected and rigid with loops: only 0 and 1 carry one
+RIGID_LOOPED = (3, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_disjoint_rigid_copies_order(k):
+    for n, arcs in (RIGID, RIGID_LOOPED):
+        assert automorphism_group(Digraph(n, arcs, allow_loops=True)).order == 1
+        assert automorphism_group(disjoint_copies(n, arcs, k)).order == math.factorial(k)
+    # colors split the copies into classes that are permuted independently
+    colors = [c % 2 for c in range(k)]
+    colored = disjoint_copies(*RIGID, k, colors)
+    expected = math.factorial(colors.count(0)) * math.factorial(colors.count(1))
+    assert automorphism_group(colored).order == expected
+    assert automorphism_group(colored, ignore_colors=True).order == math.factorial(k)
+
+
+def test_vf2_automorphism_counts():
+    """Cross-check against networkx's VF2 matcher, counting every self-map."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def vf2_count(digraph: Digraph, colored: bool) -> int:
+        g = nx.DiGraph()
+        for v in range(digraph.n):
+            g.add_node(v, c=digraph.vertex_color[v] if colored else 0)
+        g.add_edges_from(digraph.arcs())
+        matcher = DiGraphMatcher(g, g, node_match=lambda a, b: a["c"] == b["c"])
+        return sum(1 for _ in matcher.isomorphisms_iter())
+
+    rng = random.Random(2024)
+    groups = [FiniteGroup.cyclic(n) for n in range(3, 9)]
+    for i in range(200):
+        if i % 2:
+            group = rng.choice(groups)
+            m = rng.randint(2, min(3, 24 // group.order))
+            sets = {(a, b): tuple(rng.sample(range(group.order), rng.randint(2, 3)))
+                    for a in range(m) for b in range(m) if a != b}
+            # x_0 -> (t + x)_1 -> x_0 closes a digon when T[1,0] holds -t
+            t = rng.randrange(group.order)
+            sets[(0, 1)] = tuple({t, *sets[(0, 1)]})
+            sets[(1, 0)] = tuple({-t % group.order, *sets[(1, 0)]})
+            digraph = build_m_cayley(group, ConnectionSpec.from_sets(m, group.order,
+                                                                     sets)).digraph
+        else:
+            n = rng.randint(2, 24)
+            p = rng.choice([0.1, 0.2, 0.3])
+            arcs = {(u, v) for u in range(n) for v in range(n)
+                    if u != v and rng.random() < p}
+            arcs |= {(v, u) for u, v in list(arcs) if rng.random() < 0.3}
+            u, v = rng.sample(range(n), 2)
+            arcs |= {(u, v), (v, u)}
+            digraph = Digraph(n, sorted(arcs), vertex_color=[rng.randint(0, 1)
+                                                              for _ in range(n)])
+        assert digraph.undirected_edges()
+        for colored in (False, True):
+            expected = vf2_count(digraph, colored)
+            assert automorphism_group(digraph, ignore_colors=not colored).order == expected
 
 
 # -- is_pdr ---------------------------------------------------------------------

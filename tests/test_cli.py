@@ -171,6 +171,22 @@ def test_non_utf8_input_exit_3(capsys, files):
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize("module,argv", [
+    ("mpdr.verify", ["verify", "--group", "z5", "--spec", "fig"]),
+    ("mpdr.cli", ["aut", "--digraph", "tri"]),
+])
+def test_memory_error_exit_2(capsys, monkeypatch, files, module, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"{module}.automorphism_search", exhausted)
+    argv = [str(files[a]) if a in files else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: out of memory\n"
+
+
 def test_aut_digraph(capsys, files):
     code, doc = run_json(capsys, ["aut", "--digraph", str(files["tri"])])
     assert code == 0
