@@ -172,7 +172,11 @@ class _AutSearch:
         last fragment, processed after all its siblings, would split nothing
         and is not queued; and a fragment larger than the rest of its parent
         is processed through its siblings, ordering each cell by descending
-        sibling counts, untouched last.  Order inside a cell is arbitrary."""
+        sibling counts, untouched last.  The sibling walk is what keeps a
+        refinement cheap: the untouched part of a split comes first, so it is
+        queued, and after a vertex is individualized it is usually most of a
+        cell: walked directly, it would cost O(n) per child rather than the
+        arcs of its smaller siblings.  Order inside a cell is arbitrary."""
         lab, pos, cell, first, size = part
         out_adj, in_adj, digon_adj = self.g.out_adj, self.g.in_adj, self.digon_adj
         # a (out, in, digon) count key packed base n + 1: integer order is

@@ -81,6 +81,8 @@ class Permutation:
 
     def __mul__(self, other: Permutation) -> Permutation:
         """self, then other."""
+        if len(other.images) != len(self.images):
+            raise ValueError(f"degrees differ: {len(self.images)} and {len(other.images)}")
         return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:

@@ -46,6 +46,14 @@ def test_not_a_permutation():
         Permutation([0, 3, 1])
 
 
+def test_product_of_different_degrees():
+    small = Permutation([1, 0, 2])
+    large = Permutation([3, 2, 1, 0])
+    for a, b in ((small, large), (large, small)):
+        with pytest.raises(ValueError):
+            a * b
+
+
 def test_symmetric_group_orders():
     for n in range(1, 7):
         gens = [Permutation.from_cycles("(0 1)", n) if n > 1 else Permutation.identity(n)]
