@@ -24,6 +24,8 @@ class FiniteGroup:
                  designated_generators: Sequence[int] = (),
                  labels: Sequence[str] | None = None):
         self.order = len(table)
+        if self.order < 1:
+            raise ValueError("group order must be at least 1, got 0")
         self._table = tuple(tuple(int(x) for x in row) for row in table)
         for row in self._table:
             if len(row) != self.order or any(not 0 <= x < self.order for x in row):

@@ -47,6 +47,22 @@ def test_invalid_order():
         FiniteGroup.cyclic(0)
 
 
+@pytest.mark.parametrize("table, message", [
+    ([], "at least 1"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0]], "not square"),            # short row
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1, 2]], "not square"),      # long row
+    ([[0, 1], [1, 2]], "not square"),                          # entry n
+    ([[0, 1], [1, -1]], "not square"),                         # negative entry
+    ([[0, 1], [0, 1]], "two-sided identity"),                  # left identity only
+    ([[0, 0], [1, 0]], "two-sided identity"),                  # right identity only
+    ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "no two-sided inverse"),  # no inverse
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "no two-sided inverse"),  # one-sided only
+])
+def test_bad_table_rejected(table, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(table)
+
+
 def test_mul_inverse_roundtrip():
     for n in (1, 2, 3, 7, 12):
         g = FiniteGroup.cyclic(n)
