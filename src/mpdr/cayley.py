@@ -112,7 +112,7 @@ class MCayleyDigraph:
         arcs = []
         for i, j, elems in spec.entries:
             for t in elems:
-                row = group._table[t]
+                row = group.row(t)
                 for g in range(n):
                     arcs.append((i * n + g, j * n + row[g]))
         colors = [v // n for v in range(m * n)]
@@ -173,7 +173,7 @@ def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
     n = group.order
     arcs = []
     for s in sorted(set(connection)):
-        row = group._table[s]
+        row = group.row(s)
         for g in range(n):
             arcs.append((g, row[g]))
     return Digraph(n, arcs, allow_loops=True)

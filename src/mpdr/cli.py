@@ -275,8 +275,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a connection-set spec from a family")
     p.add_argument("--family", required=True,
                    choices=["cyclic-2pdr", "cyclic-mpdr", "two-gen-mpdr", "drr-extend"])
-    p.add_argument("--n", type=int, help="cyclic group order")
-    p.add_argument("--m", type=int, help="number of parts")
+    p.add_argument("--n", type=_at_least(1), help="cyclic group order")
+    p.add_argument("--m", type=_at_least(1), help="number of parts")
     p.add_argument("--group", help="group file (for two-gen-mpdr / drr-extend)")
     p.add_argument("--x", type=int, help="first generator index")
     p.add_argument("--y", type=int, help="second generator index")
@@ -319,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="rigid3 variant: forbid digons")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, help="cyclic order for exhaust-negative")
+    p.add_argument("--n", type=_at_least(1), help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)

@@ -1,6 +1,9 @@
 """Finite groups over a canonical 0-based element indexing.
 
-A group is stored as its full multiplication table.  Index 0 is always the
+A group is stored as its full multiplication table, built once by the
+constructor that knows its structure (a cyclic group's rows are rotations of
+one shared tuple); other modules read it only through ``row(a)``.  Both
+constructors refuse more than ``CLOSURE_CAP`` elements.  Index 0 is always the
 identity, which keeps connection-set literals stable across runs.  The
 product convention is ``table(a, b) = "a then b"``: for groups built from
 permutations, the permutation assigned to ``mul(a, b)`` equals "apply the
@@ -23,18 +26,23 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]],
                  designated_generators: Sequence[int] = (),
                  labels: Sequence[str] | None = None):
-        self.order = len(table)
-        if self.order < 1:
+        rows = tuple(tuple(row) for row in table)
+        n = self.order = len(rows)
+        if n < 1:
             raise ValueError("group order must be at least 1, got 0")
-        self._table = tuple(tuple(int(x) for x in row) for row in table)
-        for row in self._table:
-            if len(row) != self.order or any(not 0 <= x < self.order for x in row):
-                raise ValueError("multiplication table is not square over 0..n-1")
+        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in rows):
+            raise ValueError("multiplication table is not square over 0..n-1")
+        if rows[0] != tuple(range(n)) or [row[0] for row in rows] != list(range(n)):
+            raise ValueError("index 0 is not a two-sided identity")
+        self._inverse = tuple(row.index(0) if 0 in row else -1 for row in rows)
+        for a, b in enumerate(self._inverse):
+            if b < 0 or rows[b][a] != 0:
+                raise ValueError(f"element {a} has no two-sided inverse")
+        self._table = rows
         self.designated_generators = tuple(int(g) for g in designated_generators)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.order:
             raise ValueError("labels length must equal group order")
-        self._inverse = self._compute_inverses()
         self._permutations: tuple[Permutation, ...] | None = None
 
     # -- constructors --------------------------------------------------------
@@ -44,7 +52,11 @@ class FiniteGroup:
         """The cyclic group of order n; element i is the generator's i-th power."""
         if n < 1:
             raise ValueError(f"group order must be at least 1, got {n}")
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        if n > CLOSURE_CAP:
+            raise CapExceededError(
+                f"group order {n} exceeds cap of {CLOSURE_CAP} elements")
+        elems = tuple(range(n))
+        table = [elems[a:] + elems[:a] for a in range(n)]
         labels = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
         gens = (1,) if n > 1 else ()
         return cls(table, designated_generators=gens, labels=labels)
@@ -112,6 +124,11 @@ class FiniteGroup:
         self._check(b)
         return self._table[a][b]
 
+    def row(self, a: int) -> tuple[int, ...]:
+        """mul(a, b) for every b, indexed by b."""
+        self._check(a)
+        return self._table[a]
+
     def inverse(self, a: int) -> int:
         self._check(a)
         return self._inverse[a]
@@ -155,20 +172,6 @@ class FiniteGroup:
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for order {self.order}")
-
-    def _compute_inverses(self) -> tuple[int, ...]:
-        if any(self._table[0][b] != b or self._table[b][0] != b
-               for b in range(self.order)):
-            raise ValueError("index 0 is not a two-sided identity")
-        inv = [-1] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self._table[a][b] == 0 and self._table[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no two-sided inverse")
-        return tuple(inv)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"

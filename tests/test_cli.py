@@ -101,6 +101,21 @@ def test_construct_exception_exit_2(capsys, files):
     assert main(["construct", "--family", "cyclic-mpdr", "--n", "2", "--m", "3"]) == 2
 
 
+def test_construct_rejects_order_below_one(capsys):
+    assert main(["construct", "--family", "cyclic-2pdr", "--n", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
+def test_search_refuses_order_above_cap(capsys):
+    assert main(["search", "--problem", "exhaust-negative", "--n", "5001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
+    assert "5000 elements" in captured.err
+
+
 def test_construct_two_gen_from_group_file(capsys, files):
     out = files["tmp"] / "spec.json"
     code = main(["construct", "--family", "two-gen-mpdr", "--group", str(files["s3"]),
@@ -277,6 +292,8 @@ def test_search_drr2(capsys, files):
     ["--m", "12", "--mode", "randomized", "--budget", "-5"],
     ["--m", "0"],
     ["--m", "-1"],
+    ["--n", "0"],
+    ["--n", "-2"],
 ])
 def test_search_rejects_bad_jobs_and_budget(capsys, argv):
     assert main(["search", "--problem", "rigid3", *argv]) == 3

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from mpdr import CapExceededError, FiniteGroup, Permutation
+from mpdr.groups import CLOSURE_CAP
 
 
 def check_axioms(group, exhaustive_limit=60, samples=2000, seed=0):
@@ -61,6 +63,33 @@ def test_invalid_order():
 def test_bad_table_rejected(table, message):
     with pytest.raises(ValueError, match=message):
         FiniteGroup(table)
+
+
+def test_cyclic_table_and_inverses():
+    for n in range(1, 41):
+        g = FiniteGroup.cyclic(n)
+        assert g._table == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        assert [g.inverse(a) for a in range(n)] == [-a % n for a in range(n)]
+    g = FiniteGroup.cyclic(1000)
+    for a in (0, 1, 999):
+        assert g.row(a) == tuple((a + b) % 1000 for b in range(1000))
+
+
+def test_cyclic_order_cap():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="5000 elements"):
+        FiniteGroup.cyclic(CLOSURE_CAP + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_row_is_mul(s3, d4, q8, z2z4, a5):
+    for g in (FiniteGroup.cyclic(1), FiniteGroup.cyclic(7), FiniteGroup.cyclic(12),
+              s3, d4, q8, z2z4, a5):
+        for a in range(g.order):
+            assert g.row(a) == tuple(g.mul(a, b) for b in range(g.order))
+        for a in (g.order, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                g.row(a)
 
 
 def test_mul_inverse_roundtrip():
