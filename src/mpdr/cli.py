@@ -26,10 +26,10 @@ from .cayley import ConnectionSpec, build_m_cayley
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
 from .errors import CapExceededError, FormatError, MpdrError, PreconditionError
-from .groups import FiniteGroup
+from .groups import CLOSURE_CAP, FiniteGroup
 from .perms import Permutation
-from .search import (SearchVerdict, exhaust_2partite_valency3, scan_valency2,
-                     translate_relation, trivial_aut_3regular_search)
+from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
+                     scan_valency2, translate_relation, trivial_aut_3regular_search)
 from .verify import is_pdr
 
 
@@ -211,6 +211,10 @@ def _cmd_search(args) -> int:
         if args.group:
             group = _load_group(args.group, inputs)
         elif args.n is not None:
+            # Refuse an order the sweep would refuse before building its
+            # table; cyclic() refuses orders above its own cap unbuilt.
+            if args.n <= CLOSURE_CAP:
+                check_exhaust_order(args.n)
             group = FiniteGroup.cyclic(args.n)
         else:
             raise FormatError("exhaust-negative needs --n or --group")

@@ -2,6 +2,21 @@
 connection-set spaces, rigid 3-regular digraph hunting, and valency-2 DRR
 candidates.
 
+The 2-part valency-3 sweep runs one automorphism search per isomorphism
+orbit of specs, not one per spec.  Three moves map the digraph built from
+(T01, T10) onto the digraph built from another spec, so the two have the
+same automorphism order (the arc rule is g_i -> (t*g)_j, with * the
+group's ``mul``):
+
+* relabeling the parts by g_0 -> (a0*g)_0 and g_1 -> (a1*g)_1, which gives
+  (a1*T01*a0^-1, a0*T10*a1^-1);
+* applying one automorphism s of the group to both parts, which gives
+  (s(T01), s(T10));
+* swapping the parts, which gives (T10, T01).
+
+The first spec of each orbit, in sweep order, is searched, and every spec
+takes its orbit's order.
+
 The rigid-digraph search partitions its space by vertex 0's out-set and
 enumerates each branch in lexicographic order.  Verdicts, witnesses and
 node counts are deterministic across --jobs settings: branch b's count is
@@ -24,6 +39,7 @@ from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
 
+EXHAUST_ORDER_CAP = 8
 EXHAUSTIVE_RIGID_CAP = 7
 RANDOMIZED_RIGID_CAP = 64
 
@@ -50,15 +66,141 @@ class SearchVerdict:
 
 def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, int]]:
     """Every 2-part spec with both connection sets of size 3, with the exact
-    (color-blind) automorphism order of the built digraph.  The spec space
-    is C(n,3)^2, so the group order is capped at 8."""
+    (color-blind) automorphism order of the built digraph, in the order of
+    ``itertools.product`` over the 3-subsets.  The spec space is C(n,3)^2,
+    so the group order is capped at ``EXHAUST_ORDER_CAP``.
+
+    Only the first spec of each orbit under the moves of the module
+    docstring (part relabelings by generators of the group, generators of
+    its automorphism group, and the part swap) is searched; each move is an
+    isomorphism of the built digraphs, so every spec gets its
+    representative's order."""
     n = group.order
-    if n > 8:
-        raise PreconditionError(f"exhaustive 2-part sweep capped at order 8, got {n}")
-    specs = (ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
-             for t01, t10 in itertools.product(itertools.combinations(range(n), 3),
-                                               repeat=2))
-    return _aut_orders(group, specs)
+    check_exhaust_order(n)
+    triples = list(itertools.combinations(range(n), 3))
+    specs = [ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
+             for t01, t10 in itertools.product(triples, repeat=2)]
+    first = _orbit_firsts(group, triples)
+    reps = sorted(set(first))
+    orders = {k: order for k, (_, order)
+              in zip(reps, _aut_orders(group, (specs[k] for k in reps)))}
+    return [(spec, orders[first[k]]) for k, spec in enumerate(specs)]
+
+
+def check_exhaust_order(n: int) -> None:
+    """Refuse a 2-part sweep over a group of order above the cap."""
+    if n > EXHAUST_ORDER_CAP:
+        raise PreconditionError(
+            f"exhaustive 2-part sweep capped at order {EXHAUST_ORDER_CAP}, got {n}")
+
+
+def _orbit_firsts(group: FiniteGroup, triples: list[tuple[int, ...]]) -> list[int]:
+    """For the spec (T01, T10) = (triples[i], triples[j]) at sweep index
+    k = i * len(triples) + j, the least sweep index in its orbit."""
+    c = len(triples)
+    index = {t: k for k, t in enumerate(triples)}
+
+    def on_triples(f):
+        return [index[tuple(sorted(f[x] for x in t))] for t in triples]
+
+    steps = []
+    for move in _spec_moves(group):
+        f01, f10, swap = _spec_maps(group, move)
+        steps.append((on_triples(f01), on_triples(f10), swap))
+    first = [-1] * (c * c)
+    for start in range(c * c):
+        if first[start] >= 0:
+            continue
+        first[start] = start
+        stack = [start]
+        while stack:
+            i, j = divmod(stack.pop(), c)
+            for m01, m10, swap in steps:
+                k = m10[j] * c + m01[i] if swap else m01[i] * c + m10[j]
+                if first[k] < 0:
+                    first[k] = start
+                    stack.append(k)
+    return first
+
+
+def _spec_moves(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """Generators of the moves, each as (p0, p1, swap): vertex g_i goes to
+    p_i[g] in part i, or in the other part when ``swap``.  They are left
+    multiplication by each generator of the group on either part, each
+    generator of the group's automorphism group on both parts, and the
+    part swap."""
+    n = group.order
+    ident = tuple(range(n))
+    moves = []
+    for a in _generating_set(range(n), group.mul, 0):
+        moves += [(group.row(a), ident, False), (ident, group.row(a), False)]
+    autos = _automorphisms(group)
+    for sigma in _generating_set(autos, lambda s, t: tuple(t[x] for x in s), ident):
+        moves.append((sigma, sigma, False))
+    moves.append((ident, ident, True))
+    return moves
+
+
+def _spec_maps(group: FiniteGroup, move) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """A move as element maps (f01, f10, swap): it takes (T01, T10) to
+    (f01(T01), f10(T10)), exchanged when ``swap``.  The identity of the
+    image's part i' comes from the g_i with p_i[g] the identity, so an arc
+    g_i -> (t*g)_j maps t to p_j[t*g]."""
+    p0, p1, swap = move
+    g0, g1 = p0.index(0), p1.index(0)
+    return (tuple(p1[group.mul(t, g0)] for t in range(group.order)),
+            tuple(p0[group.mul(t, g1)] for t in range(group.order)), swap)
+
+
+def _generating_set(elements, mul, identity) -> list:
+    """The elements, in order, that are not in the subgroup generated by
+    those before them; together they generate the group."""
+    chosen, closure = [], {identity}
+    for x in elements:
+        if x in closure:
+            continue
+        chosen.append(x)
+        frontier = list(closure)
+        while frontier:
+            y = frontier.pop()
+            for g in chosen:
+                z = mul(y, g)
+                if z not in closure:
+                    closure.add(z)
+                    frontier.append(z)
+    return chosen
+
+
+def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every automorphism of the group as its tuple of images, found by
+    trying every assignment of images to a generating set (at most 8^3
+    at the sweep's order cap)."""
+    n = group.order
+    gens = _generating_set(range(n), group.mul, 0)
+    autos = []
+    for images in itertools.product(range(n), repeat=len(gens)):
+        phi = _homomorphism(group, gens, images)
+        if phi is not None and len(set(phi)) == n:
+            autos.append(phi)
+    return autos
+
+
+def _homomorphism(group: FiniteGroup, gens, images) -> tuple[int, ...] | None:
+    """The endomorphism taking each generator to its image, or None if
+    there is none: phi(x*g) = phi(x)*phi(g) fixes phi along a breadth-first
+    walk, and any clash refutes it."""
+    phi = [-1] * group.order
+    phi[0] = 0
+    queue = [0]
+    for x in queue:
+        for g, h in zip(gens, images):
+            y, v = group.mul(x, g), group.mul(phi[x], h)
+            if phi[y] < 0:
+                phi[y] = v
+                queue.append(y)
+            elif phi[y] != v:
+                return None
+    return tuple(phi)
 
 
 def translate_relation(group: FiniteGroup, source: tuple[int, ...],
@@ -210,34 +352,32 @@ def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):
 def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
     """Every completion of ``rows`` (the out-rows of vertices 0, 1, ...) to
     a loopless 3-regular digraph on m vertices, digon-free when ``oriented``,
-    in lexicographic order; a prefix is cut once an in-degree passes 3 or
-    can no longer reach it."""
+    in lexicographic order.  Vertex v's row is drawn from the vertices whose
+    in-degree is below 3 (that do not point to v, if oriented), and a prefix
+    is cut once an in-degree can no longer reach 3.  A vertex's deficit is at
+    most 3, so that deadline binds only on the last three rows."""
     rows = list(rows)
     indeg = [0] * m
     for row in rows:
         for j in row:
             indeg[j] += 1
-    combos = [list(itertools.combinations([u for u in range(m) if u != v], 3))
-              for v in range(m)]
 
     def feasible(next_v: int) -> bool:
         rem = m - next_v
-        for j, d in enumerate(indeg):
-            if d > 3 or d + rem - (j >= next_v) < 3:
-                return False
-        return True
+        return all(d <= 3 and d + rem - (j >= next_v) >= 3 for j, d in enumerate(indeg))
 
     def extend(v: int):
         if v == m:
             yield list(rows)
             return
-        for combo in combos[v]:
-            if oriented and any(v in rows[u] for u in combo if u < v):
-                continue
+        allowed = [u for u in range(m) if u != v and indeg[u] < 3
+                   and not (oriented and u < v and v in rows[u])]
+        check = m - v <= 4
+        for combo in itertools.combinations(allowed, 3):
             for j in combo:
                 indeg[j] += 1
             rows.append(combo)
-            if feasible(v + 1):
+            if not check or feasible(v + 1):
                 yield from extend(v + 1)
             rows.pop()
             for j in combo:

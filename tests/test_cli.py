@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import Digraph, FormatError, automorphism_group, cyclic_2pdr
+from mpdr import (Digraph, FiniteGroup, FormatError, automorphism_group, cyclic_2pdr,
+                  search)
 from mpdr.cli import main, parse_group_text
 
 # Whole CLI documents, keyed by case name: the exit code and the JSON report
@@ -114,6 +115,19 @@ def test_search_refuses_order_above_cap(capsys):
     assert captured.out == ""
     assert captured.err.startswith("refused:")
     assert "5000 elements" in captured.err
+
+
+@pytest.mark.parametrize("n", [9, 2000])
+def test_search_refuses_sweep_order_before_building_group(capsys, monkeypatch, n):
+    def unbuilt(order):
+        raise AssertionError(f"cyclic({order}) built for a refused sweep")
+
+    monkeypatch.setattr(FiniteGroup, "cyclic", unbuilt)
+    assert main(["search", "--problem", "exhaust-negative", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"refused: exhaustive 2-part sweep capped at order "
+                            f"{search.EXHAUST_ORDER_CAP}, got {n}\n")
 
 
 def test_construct_two_gen_from_group_file(capsys, files):
