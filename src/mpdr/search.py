@@ -355,7 +355,7 @@ def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
     in lexicographic order.  Vertex v's row is drawn from the vertices whose
     in-degree is below 3 (that do not point to v, if oriented), and a prefix
     is cut once an in-degree can no longer reach 3.  A vertex's deficit is at
-    most 3, so that deadline binds only on the last three rows."""
+    most 3, so that deadline can bind only once three rows or fewer remain."""
     rows = list(rows)
     indeg = [0] * m
     for row in rows:
@@ -372,12 +372,12 @@ def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
             return
         allowed = [u for u in range(m) if u != v and indeg[u] < 3
                    and not (oriented and u < v and v in rows[u])]
-        check = m - v <= 4
+        near_end = m - (v + 1) <= 3
         for combo in itertools.combinations(allowed, 3):
             for j in combo:
                 indeg[j] += 1
             rows.append(combo)
-            if not check or feasible(v + 1):
+            if not near_end or feasible(v + 1):
                 yield from extend(v + 1)
             rows.pop()
             for j in combo:
