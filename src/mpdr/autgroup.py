@@ -7,7 +7,9 @@ two loops.  The first walks the leftmost path to its leaf, recording the
 shape every node at each depth must match.  The second, deepest level first,
 searches each branch outside the orbits of the branches explored there
 (under the group found so far) depth-first on an explicit stack, until one
-leaf yields an automorphism: one witness per branch suffices.
+leaf yields an automorphism: one witness per branch suffices.  The search
+keeps only the automorphisms it finds and their orbits; it builds the
+group's stabilizer chain once, from that generator list, when it ends.
 
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 from .digraphs import Digraph
 from .errors import CapExceededError
-from .perms import PermGroup, Permutation
+from .perms import OrbitPartition, PermGroup, Permutation
 
 VERTEX_CAP = 2048
 BRUTE_FORCE_CAP = 9
@@ -129,25 +131,12 @@ class _AutSearch:
         self.digon_adj = [tuple(v for v in digraph.out_adj[u]
                                 if digraph.digon_bits[u] >> v & 1) for u in range(n)]
         self.nodes = 0
-        self.group = PermGroup(n, [])
+        self.generators: list[Permutation] = []
         self.first_leaf: tuple[int, ...] = ()
         # per path depth: (cell-size shape, (index, vertex) of singletons)
         self.first_info: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-        self.parent = list(range(n))
-
-    # -- union-find over found automorphisms --------------------------------
-
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        # orbits of the automorphisms found so far
+        self.orbits = OrbitPartition(n)
 
     # -- equitable refinement ------------------------------------------------
 
@@ -260,12 +249,12 @@ class _AutSearch:
             part, target, branches = path[depth]
             explored = [branches[0]]
             for v in branches[1:]:
-                rv = self._find(v)
-                if any(self._find(w) == rv for w in explored):
+                rv = self.orbits.find(v)
+                if any(self.orbits.find(w) == rv for w in explored):
                     continue
                 self._witness(part, target, v, depth + 1)
                 explored.append(v)
-        return self.group
+        return PermGroup(self.n, self.generators)
 
     def _child(self, part: _Partition, target: int, v: int) -> _Partition:
         """The refined partition after individualizing v in the cell starting
@@ -311,9 +300,8 @@ class _AutSearch:
             return False
         # never a member of the group found so far: it fixes the path above its
         # level and maps the path vertex there outside that vertex's orbit
-        self.group._extend(Permutation(images))
-        for a, b in zip(self.first_leaf, leaf):
-            self._union(a, b)
+        self.generators.append(Permutation(images))
+        self.orbits.merge(images)
         return True
 
     def _consistent(self, first_singles: tuple[tuple[int, int], ...],

@@ -168,11 +168,9 @@ def _cmd_verify(args) -> int:
     inputs: dict = {}
     group = _load_group(args.group, inputs)
     spec = _load_spec(args.spec, inputs)
-    color_blind = not args.parts_as_colors
-    report = is_pdr(group, spec, color_blind=color_blind)
+    report = is_pdr(group, spec, color_blind=not args.parts_as_colors)
     doc = _envelope(inputs)
     doc["report"] = report.to_json_dict()
-    doc["report"]["color_blind"] = color_blind
     _emit(doc, args.out)
     return 0 if report.is_pdr else 1
 

@@ -3,7 +3,9 @@
 Permutations act on points 0..n-1 and compose left to right: ``(a * b)(x)
 == b(a(x))``, i.e. "apply a, then b".  Groups are represented by a
 deterministic stabilizer chain (Schreier-Sims), which gives the exact
-order, a membership test, orbits and point stabilizers.
+order, a membership test, orbits and point stabilizers.  Every generator
+enters a chain through one method, ``PermGroup._extend``.  ``OrbitPartition``
+is the union-find shared by ``PermGroup.orbits`` and the automorphism search.
 """
 
 from __future__ import annotations
@@ -141,13 +143,35 @@ class _Level:
 
     __slots__ = ("point", "gens", "transversal")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.transversal = {point: Permutation.identity(degree)}
 
 
 _ELEMENT_CAP = 2_000_000
+
+
+class OrbitPartition:
+    """Union-find over the points 0..degree-1; each class's root is its least point."""
+
+    def __init__(self, degree: int):
+        self.parent = list(range(degree))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge(self, images: Sequence[int]) -> None:
+        """Join each point i with images[i]: add one generator's orbits."""
+        find, parent = self.find, self.parent
+        for i, j in enumerate(images):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
 
 class PermGroup:
@@ -158,24 +182,16 @@ class PermGroup:
     so generator lists and transversals are reproducible.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation | Sequence[int]],
-                 base: Sequence[int] = ()):
+    def __init__(self, degree: int, generators: Iterable[Permutation | Sequence[int]]):
         self.degree = int(degree)
         self._levels: list[_Level] = []
-        for b in base:
-            lvl = _Level(int(b))
-            lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
-            self._levels.append(lvl)
         self.generators: list[Permutation] = []
         for g in generators:
             if not isinstance(g, Permutation):
                 g = Permutation(g)
             if g.degree != self.degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {self.degree}")
-            if g.is_identity() or g in self.generators:
-                continue
-            if self._insert(g):
-                self.generators.append(g)
+            self._extend(g)
 
     # -- chain construction ------------------------------------------------
 
@@ -212,8 +228,9 @@ class PermGroup:
             g = g * lvl.transversal[p].inverse()
         return g, len(self._levels)
 
-    def _insert(self, g: Permutation) -> bool:
-        """Add a generator, repairing the chain. Returns False if redundant.
+    def _extend(self, g: Permutation) -> bool:
+        """Add a generator, repairing the chain.  Returns False, changing
+        nothing, when g is already a member (the identity included).
 
         ``pending`` stacks the levels still to complete, the next on top.  A
         residue stuck at level ``at`` while ``level`` is checked joins the
@@ -232,13 +249,14 @@ class PermGroup:
             else:
                 self._add_strong(*found)
                 pending.extend(range(level + 1, found[1] + 1))
+        self.generators.append(g)
         return True
 
     def _add_strong(self, residue: Permutation, at: int) -> None:
         """Make residue a strong generator at level ``at``, opening it if new."""
         if at == len(self._levels):
             moved = next(i for i, j in enumerate(residue.images) if i != j)
-            self._levels.append(_Level(moved))
+            self._levels.append(_Level(moved, self.degree))
         self._levels[at].gens.append(residue)
 
     def _schreier_residue(self, level: int) -> tuple[Permutation, int] | None:
@@ -257,17 +275,6 @@ class PermGroup:
             if not residue.is_identity():
                 return residue, at
         return None
-
-    def _extend(self, g: Permutation) -> bool:
-        """Add a generator in place, keeping the chain complete.  Returns
-        False when g is already a member (nothing changes).  Internal: used
-        by searches that discover generators one at a time."""
-        if g.is_identity():
-            return False
-        if self._insert(g):
-            self.generators.append(g)
-            return True
-        return False
 
     # -- queries -----------------------------------------------------------
 
@@ -291,22 +298,12 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of 0..degree-1, each orbit sorted, ordered by min."""
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        classes = OrbitPartition(self.degree)
         for g in self.generators:
-            for i, j in enumerate(g.images):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+            classes.merge(g.images)
         buckets: dict[int, list[int]] = {}
         for v in range(self.degree):
-            buckets.setdefault(find(v), []).append(v)
+            buckets.setdefault(classes.find(v), []).append(v)
         return [buckets[r] for r in sorted(buckets)]
 
     def orbit_of(self, point: int) -> list[int]:
@@ -323,7 +320,10 @@ class PermGroup:
         """
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        rebased = PermGroup(self.degree, self._gens_at(0), base=(point,))
+        rebased = PermGroup(self.degree, [])
+        rebased._levels.append(_Level(point, self.degree))
+        for g in self._gens_at(0):
+            rebased._extend(g)
         return PermGroup(self.degree, rebased._gens_at(1))
 
     def fixes_setwise(self, points: Iterable[int]) -> bool:

@@ -30,7 +30,6 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .autgroup import automorphism_search
@@ -323,6 +322,13 @@ def _first_rigid(m: int, candidates):
     return None, tested
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool, imported on call so that ``import mpdr`` skips
+    ``multiprocessing``, which only a multi-worker rigid3 run needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def _rigid_exhaustive(m: int, oriented: bool, jobs: int):
     """Merge the branches in order up to the first witness.  A pool, when
     ``jobs`` allows one, has at most one worker per branch and per CPU, and
@@ -349,13 +355,21 @@ def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):
     return _first_rigid(m, _branch_rows(m, [first_row], oriented))
 
 
+def _row_targets(m: int, v: int, rows: list[tuple[int, ...]], indeg: list[int],
+                 oriented: bool) -> list[int]:
+    """What vertex v's row may draw from, given rows 0..v-1: every other vertex
+    with in-degree below 3 that, if ``oriented``, does not point to v."""
+    return [u for u in range(m) if u != v and indeg[u] < 3
+            and not (oriented and u < v and v in rows[u])]
+
+
 def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
     """Every completion of ``rows`` (the out-rows of vertices 0, 1, ...) to
     a loopless 3-regular digraph on m vertices, digon-free when ``oriented``,
-    in lexicographic order.  Vertex v's row is drawn from the vertices whose
-    in-degree is below 3 (that do not point to v, if oriented), and a prefix
-    is cut once an in-degree can no longer reach 3.  A vertex's deficit is at
-    most 3, so that deadline can bind only once three rows or fewer remain."""
+    in lexicographic order.  Vertex v's row is drawn from its
+    ``_row_targets``, and a prefix is cut once an in-degree can no longer
+    reach 3.  A vertex's deficit is at most 3, so that deadline can bind
+    only once three rows or fewer remain."""
     rows = list(rows)
     indeg = [0] * m
     for row in rows:
@@ -370,8 +384,7 @@ def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
         if v == m:
             yield list(rows)
             return
-        allowed = [u for u in range(m) if u != v and indeg[u] < 3
-                   and not (oriented and u < v and v in rows[u])]
+        allowed = _row_targets(m, v, rows, indeg, oriented)
         near_end = m - (v + 1) <= 3
         for combo in itertools.combinations(allowed, 3):
             for j in combo:
@@ -389,17 +402,15 @@ def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
 
 def _sampled_rows(m: int, oriented: bool, budget: int, seed: int):
     """Out-rows of ``budget`` random draws of a loopless 3-regular digraph
-    on m vertices, digon-free when ``oriented``.  Vertex v picks 3 of the
-    vertices with in-degree below 3 (that do not point to v, if oriented);
-    a draw leaving some vertex fewer than 3 choices is dropped.  Out-degrees
-    are all 3 and no in-degree passes 3, so every kept draw is 3-regular."""
+    on m vertices, digon-free when ``oriented``.  Vertex v picks 3 of its
+    ``_row_targets`` (a draw leaving it fewer is dropped), so out-degrees are
+    all 3 and no in-degree passes 3: every kept draw is 3-regular."""
     rng = random.Random(seed)
     for _ in range(budget):
         indeg = [0] * m
         rows: list[tuple[int, ...]] = []
         for v in range(m):
-            choices = [u for u in range(m) if u != v and indeg[u] < 3
-                       and not (oriented and u < v and v in rows[u])]
+            choices = _row_targets(m, v, rows, indeg, oriented)
             if len(choices) < 3:
                 break
             row = tuple(sorted(rng.sample(choices, 3)))

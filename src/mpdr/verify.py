@@ -29,6 +29,7 @@ class VerificationReport:
     vertex_count: int
     search_nodes: int
     elapsed: float
+    color_blind: bool            # False when the parts were used as colors
 
     def to_json_dict(self) -> dict:
         return {
@@ -44,6 +45,7 @@ class VerificationReport:
             "vertex_count": self.vertex_count,
             "search_nodes": self.search_nodes,
             "elapsed_seconds": round(self.elapsed, 6),
+            "color_blind": self.color_blind,
         }
 
 
@@ -68,7 +70,7 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
         # a member of R(G) is the right translation by the element it sends 1_0 to
         witness = next((gen for gen in aut.generators
                         if gen != x.right_translation(x.vertex_element(gen(0)))), None)
-    report = VerificationReport(
+    return VerificationReport(
         group_order=group.order,
         aut_order=aut.order,
         is_pdr=(valency is not None and aut.order == group.order),
@@ -79,8 +81,8 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
         vertex_count=x.digraph.n,
         search_nodes=result.nodes_explored,
         elapsed=result.elapsed,
+        color_blind=color_blind,
     )
-    return report
 
 
 @dataclass

@@ -398,6 +398,9 @@ def test_report_json_shape():
     assert doc["aut_order"] == "5"
     assert doc["is_pdr"] is True
     assert doc["valency"] == 3
+    assert doc["color_blind"] is True
+    parts_as_colors = is_pdr(FiniteGroup.cyclic(5), cyclic_2pdr(5), color_blind=False)
+    assert parts_as_colors.to_json_dict()["color_blind"] is False
 
 
 # -- the regularity criterion ------------------------------------------------

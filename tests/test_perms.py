@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import FormatError, PermGroup, Permutation
+from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
+                  automorphism_group, build_m_cayley, cyclic_2pdr)
 
 
 def test_cycle_parse_format_roundtrip():
@@ -190,10 +191,13 @@ def test_chain_order_matches_closure_at_5040():
     assert len(set(g.elements())) == 5040
 
 
-def test_base_prefix_redundant_point():
-    # a base point nothing moves must not distort the order
-    g = PermGroup(5, [Permutation.from_cycles("(1 2 3 4)", 5)], base=(0,))
-    assert g.order == 4
+def test_point_stabilizer_of_fixed_point():
+    # the rebased chain's first level, at a point nothing moves, has one
+    # transversal element and must not distort the order
+    g = PermGroup(5, [Permutation.from_cycles("(1 2 3 4)", 5)])
+    stab = g.point_stabilizer(0)
+    assert stab.order == 4
+    assert stab.generators == g.generators
 
 
 def pinned_chain_outputs() -> dict[str, list[str]]:
@@ -209,3 +213,59 @@ def pinned_chain_outputs() -> dict[str, list[str]]:
 def test_chain_outputs_pinned():
     golden = json.loads((Path(__file__).parent / "search_golden.json").read_text())
     assert pinned_chain_outputs() == golden["perms"]
+
+
+def sympy_cases() -> list[tuple[str, PermGroup]]:
+    """Seeded generator sets of degree <= 30, kept to groups whose chains
+    build in well under a second, and automorphism search results."""
+    cases = []
+    for seed in range(8):
+        # independent random permutations of consecutive blocks of 2..7 points
+        rng = random.Random(seed)
+        n = rng.randint(10, 30)
+        blocks, start = [], 0
+        while start < n:
+            blocks.append(range(start, min(n, start + rng.randint(2, 7))))
+            start = blocks[-1].stop
+        gens = []
+        for _ in range(2):
+            images = list(range(n))
+            for block in blocks:
+                points = list(block)
+                rng.shuffle(points)
+                for a, b in zip(block, points):
+                    images[a] = b
+            gens.append(Permutation(images))
+        cases.append((f"blocks-{seed}", PermGroup(n, gens)))
+    for seed in range(4):
+        # a shift of k blocks of b points, plus a shuffle of the first block
+        rng = random.Random(100 + seed)
+        b = rng.randint(2, 5)
+        n = b * rng.randint(2, 30 // b)
+        head = list(range(b))
+        rng.shuffle(head)
+        gens = [Permutation([(i + b) % n for i in range(n)]),
+                Permutation(head + list(range(b, n)))]
+        cases.append((f"shift-{seed}", PermGroup(n, gens)))
+    for n in range(2, 13):
+        cases.append((f"K{n}", automorphism_group(
+            Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v]))))
+    for k in range(1, 5):
+        cases.append((f"{k}xC7", automorphism_group(
+            Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
+                            for c in range(k) for i in range(7)]))))
+    for n in (5, 8, 13, 21):
+        x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
+        cases.append((f"cyclic_2pdr({n})", automorphism_group(x.digraph, ignore_colors=True)))
+    return cases
+
+
+def test_chain_order_matches_sympy():
+    """The chain's orders against an independent Schreier-Sims."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for name, group in sympy_cases():
+        other = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in group.generators])
+        assert group.order == other.order(), name
+        for v in sorted({0, group.degree // 2, group.degree - 1}):
+            assert group.point_stabilizer(v).order == other.stabilizer(v).order(), (name, v)

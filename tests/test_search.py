@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,17 @@ def test_rigid_pool_capped_and_stopped_at_witness(monkeypatch, jobs, cpus, worke
     for pool in pools:
         assert pool.merged == 1  # branch (1, 2, 3) holds the witness; nothing after it
         assert pool.shutdown_args == {"cancel_futures": True}
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool (and multiprocessing with it) is imported only by a run that uses it
+    src = str(Path(search.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, mpdr; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_rigid_randomized_m4_agrees():
