@@ -8,8 +8,16 @@ shape every node at each depth must match.  The second, deepest level first,
 searches each branch outside the orbits of the branches explored there
 (under the group found so far) depth-first on an explicit stack, until one
 leaf yields an automorphism: one witness per branch suffices.  The search
-keeps only the automorphisms it finds and their orbits; it builds the
-group's stabilizer chain once, from that generator list, when it ends.
+keeps only the automorphisms it finds and their orbits.
+
+|Aut| is the product, over the levels of the leftmost path, of the length
+of the path vertex's orbit under the automorphisms found at that level and
+below, which fix the path vertices above it (McKay & Piperno 2014, as nauty
+reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+So :func:`automorphism_order` reads the order off the search and builds no
+stabilizer chain, and :func:`is_rigid` stops at the first automorphism
+found.  :func:`automorphism_search` builds the chain once, from the
+generator list, and checks its order against the search's.
 
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
@@ -35,6 +43,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .digraphs import Digraph
 from .errors import CapExceededError
@@ -68,13 +77,39 @@ def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False) -> Perm
 
 def automorphism_search(digraph: Digraph, *,
                         ignore_colors: bool = False) -> AutSearchResult:
-    """Like :func:`automorphism_group` but also reports search statistics."""
+    """Like :func:`automorphism_group` but also reports search statistics.
+
+    The chain built from the generators must have the order the search
+    read off its orbits; a disagreement raises RuntimeError."""
+    start = time.perf_counter()
+    search = _search(digraph, ignore_colors)
+    group = PermGroup(digraph.n, [Permutation(images) for images in search.automorphisms()])
+    if group.order != search.order:
+        raise RuntimeError(f"stabilizer chain order {group.order} disagrees with "
+                           f"the search's orbit product {search.order}")
+    return AutSearchResult(group, search.nodes, time.perf_counter() - start)
+
+
+def automorphism_order(digraph: Digraph, *, ignore_colors: bool = False) -> int:
+    """The order of the automorphism group, read off the search: no
+    stabilizer chain is built.  Colors as in :func:`automorphism_group`."""
+    search = _search(digraph, ignore_colors)
+    for _ in search.automorphisms():
+        pass
+    return search.order
+
+
+def is_rigid(digraph: Digraph) -> bool:
+    """True iff the only automorphism (respecting colors) is the identity;
+    the search stops at the first other one it finds."""
+    return next(_search(digraph, False).automorphisms(), None) is None
+
+
+def _search(digraph: Digraph, ignore_colors: bool) -> _AutSearch:
     if digraph.n > VERTEX_CAP:
         raise CapExceededError(
             f"automorphism search capped at {VERTEX_CAP} vertices, got {digraph.n}")
-    start = time.perf_counter()
-    search = _AutSearch(digraph, ignore_colors=ignore_colors)
-    return AutSearchResult(search.run(), search.nodes, time.perf_counter() - start)
+    return _AutSearch(digraph, ignore_colors=ignore_colors)
 
 
 def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
@@ -131,7 +166,9 @@ class _AutSearch:
         self.digon_adj = [tuple(v for v in digraph.out_adj[u]
                                 if digraph.digon_bits[u] >> v & 1) for u in range(n)]
         self.nodes = 0
-        self.generators: list[Permutation] = []
+        # |Aut| once automorphisms() is exhausted: the product, over the
+        # levels done so far, of each path vertex's orbit length
+        self.order = 1
         self.first_leaf: tuple[int, ...] = ()
         # per path depth: (cell-size shape, (index, vertex) of singletons)
         self.first_info: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
@@ -231,7 +268,16 @@ class _AutSearch:
 
     # -- search ----------------------------------------------------------------
 
-    def run(self) -> PermGroup:
+    def automorphisms(self) -> Iterator[list[int]]:
+        """Run the search, yielding each automorphism found (as its list of
+        images) the moment it is found.
+
+        The automorphisms found at a level and below fix the path vertices
+        above it, and together they carry the level's path vertex onto every
+        branch in its orbit under that pointwise stabilizer.  So when a level
+        is done, the path vertex's class in ``orbits`` is that orbit, and
+        ``order`` takes its length as a factor: the product over the levels
+        is |Aut| (see the module docstring)."""
         first, size = self.root[3], self.root[4]
         part = self._refine(self.root, [(f, f + k, None) for f, k in zip(first, size)])
         path: list[tuple[_Partition, int, list[int]]] = []  # per level
@@ -252,9 +298,11 @@ class _AutSearch:
                 rv = self.orbits.find(v)
                 if any(self.orbits.find(w) == rv for w in explored):
                     continue
-                self._witness(part, target, v, depth + 1)
+                images = self._witness(part, target, v, depth + 1)
+                if images is not None:
+                    yield images
                 explored.append(v)
-        return PermGroup(self.n, self.generators)
+            self.order *= self.orbits.orbit_length(branches[0])
 
     def _child(self, part: _Partition, target: int, v: int) -> _Partition:
         """The refined partition after individualizing v in the cell starting
@@ -272,10 +320,12 @@ class _AutSearch:
         # the rest is the last fragment of the target cell: never a splitter
         return self._refine((lab, pos, cell, first, size), [(target, target + 1, (target, end))])
 
-    def _witness(self, part: _Partition, target: int, v: int, depth: int) -> None:
+    def _witness(self, part: _Partition, target: int, v: int,
+                 depth: int) -> list[int] | None:
         """Depth-first, left to right, below branch v of the target cell until
-        a leaf yields an automorphism.  Stack entries are nodes not yet
-        refined: (parent partition, target cell, branch vertex, depth)."""
+        a leaf yields an automorphism, which is returned (None if none does).
+        Stack entries are nodes not yet refined: (parent partition, target
+        cell, branch vertex, depth)."""
         stack = [(part, target, v, depth)]
         while stack:
             part, target, v, depth = stack.pop()
@@ -288,21 +338,23 @@ class _AutSearch:
             if target is not None:
                 stack.extend((part, target, u, depth + 1)
                              for u in reversed(_cell(part, target)))
-            elif self._leaf(tuple(part[0])):
-                return
+            else:
+                images = self._leaf(part[0])
+                if images is not None:
+                    return images
+        return None
 
-    def _leaf(self, leaf: tuple[int, ...]) -> bool:
+    def _leaf(self, leaf: list[int]) -> list[int] | None:
         images = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
             images[a] = b
         # colors hold by construction (cells refine color classes positionally)
         if not self.g.is_automorphism(images, respect_colors=False):
-            return False
+            return None
         # never a member of the group found so far: it fixes the path above its
         # level and maps the path vertex there outside that vertex's orbit
-        self.generators.append(Permutation(images))
         self.orbits.merge(images)
-        return True
+        return images
 
     def _consistent(self, first_singles: tuple[tuple[int, int], ...],
                     singles: tuple[tuple[int, int], ...]) -> bool:

@@ -206,6 +206,8 @@ def _cmd_export(args) -> int:
 def _cmd_search(args) -> int:
     inputs: dict = {}
     if args.problem == "exhaust-negative":
+        if args.group and args.n is not None:
+            raise FormatError("exhaust-negative takes --n or --group, not both")
         if args.group:
             group = _load_group(args.group, inputs)
         elif args.n is not None:

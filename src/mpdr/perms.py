@@ -153,10 +153,12 @@ _ELEMENT_CAP = 2_000_000
 
 
 class OrbitPartition:
-    """Union-find over the points 0..degree-1; each class's root is its least point."""
+    """Union-find over the points 0..degree-1; each class's root is its least
+    point, and ``size[r]`` is the size of the class rooted at r."""
 
     def __init__(self, degree: int):
         self.parent = list(range(degree))
+        self.size = [1] * degree
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -165,13 +167,18 @@ class OrbitPartition:
             x = parent[x]
         return x
 
+    def orbit_length(self, x: int) -> int:
+        return self.size[self.find(x)]
+
     def merge(self, images: Sequence[int]) -> None:
         """Join each point i with images[i]: add one generator's orbits."""
-        find, parent = self.find, self.parent
+        find, parent, size = self.find, self.parent, self.size
         for i, j in enumerate(images):
             ri, rj = find(i), find(j)
             if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+                lo, hi = (ri, rj) if ri < rj else (rj, ri)
+                parent[hi] = lo
+                size[lo] += size[hi]
 
 
 class PermGroup:

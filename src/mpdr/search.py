@@ -17,6 +17,11 @@ group's ``mul``):
 The first spec of each orbit, in sweep order, is searched, and every spec
 takes its orbit's order.
 
+The sweeps, the valency-2 scan and the rigid-digraph search ask only for an
+order or for rigidity, so they call ``automorphism_order`` and ``is_rigid``
+and build no stabilizer chain; ``is_rigid`` stops at the first
+automorphism it finds.
+
 The rigid-digraph search partitions its space by vertex 0's out-set and
 enumerates each branch in lexicographic order.  Verdicts, witnesses and
 node counts are deterministic across --jobs settings: branch b's count is
@@ -32,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .autgroup import automorphism_search
+from .autgroup import automorphism_order, is_rigid
 from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
@@ -230,8 +235,8 @@ def exhaust_z2_m3_valency3() -> list[tuple[ConnectionSpec, int]]:
 def _aut_orders(group: FiniteGroup, specs) -> list[tuple[ConnectionSpec, int]]:
     """Each spec with the color-blind automorphism order of its m-Cayley
     digraph over the group, built and searched one spec at a time."""
-    return [(spec, automorphism_search(build_m_cayley(group, spec).digraph,
-                                       ignore_colors=True).group.order)
+    return [(spec, automorphism_order(build_m_cayley(group, spec).digraph,
+                                      ignore_colors=True))
             for spec in specs]
 
 
@@ -260,7 +265,7 @@ def scan_valency2(group: FiniteGroup, *,
         if not group.generates({a, b}):
             continue
         tested += 1
-        if automorphism_search(cayley_digraph(group, (a, b))).group.order == n:
+        if automorphism_order(cayley_digraph(group, (a, b))) == n:
             return (a, b), tested
     return None, tested
 
@@ -317,7 +322,7 @@ def _first_rigid(m: int, candidates):
     for rows in candidates:
         tested += 1
         arcs = [(u, w) for u, row in enumerate(rows) for w in row]
-        if automorphism_search(Digraph(m, arcs)).group.order == 1:
+        if is_rigid(Digraph(m, arcs)):
             return arcs, tested
     return None, tested
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from mpdr import autgroup
-from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
-                  automorphism_group, automorphism_search,
+from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, PermGroup,
+                  automorphism_group, automorphism_order, automorphism_search,
                   brute_force_automorphisms, build_m_cayley, cyclic_2pdr, is_pdr,
-                  part_swap_automorphism, stabilizer_criterion_check,
+                  is_rigid, part_swap_automorphism, stabilizer_criterion_check,
                   two_generated_mpdr)
+from mpdr.search import _branch_rows
 
 # (order, nodes_explored, generator cycle strings) of the search core on fixed
 # digraphs, recorded once: node order and generator lists are deterministic.
@@ -202,7 +204,10 @@ def pinned_search(name: str) -> dict:
 
 @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN["search"]))
 def test_search_core_pinned(name):
-    assert pinned_search(name) == SEARCH_GOLDEN["search"][name]
+    golden = SEARCH_GOLDEN["search"][name]
+    assert pinned_search(name) == golden
+    digraph, ignore_colors = pinned_search_cases()[name]
+    assert automorphism_order(digraph, ignore_colors=ignore_colors) == int(golden["order"])
 
 
 def test_search_leaves_recursion_limit_alone(monkeypatch):
@@ -268,6 +273,7 @@ def test_relabeling_invariance_2000_vertices():
 def test_directed_cycle_order(n):
     cycle = [(i, (i + 1) % n) for i in range(n)]
     assert automorphism_group(Digraph(n, cycle)).order == n
+    assert automorphism_order(Digraph(n, cycle)) == n
     # a loop on every vertex changes nothing
     looped = Digraph(n, cycle + [(i, i) for i in range(n)], allow_loops=True)
     assert automorphism_group(looped).order == n
@@ -278,6 +284,7 @@ def test_paley_tournament_order(q):
     squares = {x * x % q for x in range(1, q)}
     paley = Digraph(q, [(u, v) for u in range(q) for v in range(q) if (v - u) % q in squares])
     assert automorphism_group(paley).order == q * (q - 1) // 2
+    assert automorphism_order(paley) == q * (q - 1) // 2
 
 
 # connected and rigid: the triangle's rotations must fix 0, its only vertex
@@ -341,6 +348,90 @@ def test_vf2_automorphism_counts():
         for colored in (False, True):
             expected = vf2_count(digraph, colored)
             assert automorphism_group(digraph, ignore_colors=not colored).order == expected
+
+
+# -- order off the search, rigidity --------------------------------------------
+
+
+def uncolored(digraph: Digraph) -> Digraph:
+    return Digraph(digraph.n, digraph.arcs(), allow_loops=True)
+
+
+def test_automorphism_order_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(120):
+        g = random_digraph(rng, rng.randint(1, 8), rng.choice([0.1, 0.25, 0.5, 0.75]),
+                           colored=True)
+        assert automorphism_order(g) == brute_force_automorphisms(g).order
+        assert (automorphism_order(g, ignore_colors=True)
+                == brute_force_automorphisms(uncolored(g)).order)
+
+
+def test_automorphism_order_closed_forms():
+    # directed cycles and Paley tournaments: test_directed_cycle_order and
+    # test_paley_tournament_order
+    for n in (1, 2, 5, 8, 12):
+        complete = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        assert automorphism_order(complete) == automorphism_group(complete).order \
+            == math.factorial(n)
+    for k in (1, 2, 3, 5):
+        cycles = Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
+                                 for c in range(k) for i in range(7)])
+        assert automorphism_order(cycles) == automorphism_group(cycles).order \
+            == 7 ** k * math.factorial(k)
+
+
+@pytest.mark.parametrize("oriented", [False, True])
+def test_is_rigid_on_rigid3_candidates(oriented):
+    # no oriented candidate exists below m = 7, so that side takes m = 7 too
+    tested = 0
+    for m in range(1, 8 if oriented else 7):
+        for first_row in itertools.combinations(range(1, m), 3):
+            for rows in _branch_rows(m, [first_row], oriented):
+                g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
+                assert is_rigid(g) == (automorphism_search(g).group.order == 1)
+                tested += 1
+    assert tested == (2640 if oriented else 1 + 44 + 7570)
+
+
+def test_is_rigid_random():
+    rng = random.Random(32)
+    rigid = 0
+    for _ in range(300):
+        g = random_digraph(rng, rng.randint(1, 12), rng.choice([0.1, 0.2, 0.4]),
+                           colored=rng.random() < 0.3)
+        assert is_rigid(g) == (automorphism_search(g).group.order == 1)
+        rigid += is_rigid(g)
+    assert 0 < rigid < 300
+
+
+def test_is_rigid_stops_at_first_automorphism(monkeypatch):
+    found = []
+    leaf = autgroup._AutSearch._leaf
+
+    def counted(self, lab):
+        images = leaf(self, lab)
+        if images is not None:
+            found.append(images)
+        return images
+
+    monkeypatch.setattr(autgroup._AutSearch, "_leaf", counted)
+    k7 = Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v])
+    assert not is_rigid(k7)
+    assert len(found) == 1
+    assert automorphism_order(k7) == 5040
+    assert len(found) == 1 + 6  # one per path level: target cells of 7 down to 2
+
+
+def test_chain_order_cross_check(monkeypatch):
+    class Miscounted(PermGroup):
+        @property
+        def order(self):
+            return 2 * PermGroup.order.fget(self)
+
+    monkeypatch.setattr(autgroup, "PermGroup", Miscounted)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        automorphism_search(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 # -- is_pdr ---------------------------------------------------------------------

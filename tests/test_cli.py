@@ -341,6 +341,16 @@ def test_verify_color_blind_flag_rejected(capsys, files):
     assert "--color-blind" in capsys.readouterr().err
 
 
+def test_exhaust_negative_n_and_group_rejected(capsys, files):
+    # the group file would be swept and --n dropped without a word
+    assert main(["search", "--problem", "exhaust-negative", "--n", "4",
+                 "--group", str(files["z5"])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "--n" in captured.err and "--group" in captured.err
+
+
 def test_search_missing_args(capsys, files):
     assert main(["search", "--problem", "rigid3"]) == 3
     assert main(["search", "--problem", "exhaust-negative"]) == 3
