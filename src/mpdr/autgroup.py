@@ -170,8 +170,8 @@ class _AutSearch:
         # levels done so far, of each path vertex's orbit length
         self.order = 1
         self.first_leaf: tuple[int, ...] = ()
-        # per path depth: (cell-size shape, (index, vertex) of singletons)
-        self.first_info: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+        # per path depth: (cell-size shape, singleton vertices by position)
+        self.first_info: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         # orbits of the automorphisms found so far
         self.orbits = OrbitPartition(n)
 
@@ -356,16 +356,15 @@ class _AutSearch:
         self.orbits.merge(images)
         return images
 
-    def _consistent(self, first_singles: tuple[tuple[int, int], ...],
-                    singles: tuple[tuple[int, int], ...]) -> bool:
+    def _consistent(self, first_singles: tuple[int, ...],
+                    singles: tuple[int, ...]) -> bool:
         """Partial-map pruning: the position-aligned singleton vertices must
-        already induce an arc-preserving bijection."""
+        already induce an arc-preserving bijection.  Called only after the
+        shapes matched, so both singleton lists sit at the same positions."""
         amap: dict[int, int] = {}
         mask_a = 0
         mask_b = 0
-        for (pos_a, a), (pos_b, b) in zip(first_singles, singles):
-            if pos_a != pos_b:
-                return False
+        for a, b in zip(first_singles, singles):
             amap[a] = b
             mask_a |= 1 << a
             mask_b |= 1 << b
@@ -386,8 +385,8 @@ class _AutSearch:
 
 
 def _summary(part: _Partition):
-    """(cell-size shape, (first index, vertex) of each singleton cell, first
-    index of the first smallest non-singleton cell or None when the
+    """(cell-size shape, the vertex of each singleton cell in position order,
+    first index of the first smallest non-singleton cell or None when the
     partition is discrete)."""
     lab, _, cell, _, size = part
     shape, singles = [], []
@@ -397,7 +396,7 @@ def _summary(part: _Partition):
         k = size[cell[lab[q]]]
         shape.append(k)
         if k == 1:
-            singles.append((q, lab[q]))
+            singles.append(lab[q])
         elif k < smallest:
             target, smallest = q, k
         q += k

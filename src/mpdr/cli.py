@@ -203,7 +203,24 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# The search flags each problem (and rigid3 mode) reads, and every search
+# flag's default: a flag a problem does not read is refused, not dropped.
+_SEARCH_READS = {
+    "exhaust-negative": {"n", "group"},
+    "rigid3 exhaustive mode": {"m", "mode", "oriented", "jobs"},
+    "rigid3 randomized mode": {"m", "mode", "oriented", "budget", "seed"},
+    "drr2": {"group"},
+}
+_SEARCH_DEFAULTS = {"m": None, "mode": "exhaustive", "budget": 1000, "oriented": False,
+                    "jobs": 1, "seed": 0, "n": None, "group": None}
+
+
 def _cmd_search(args) -> int:
+    what = f"rigid3 {args.mode} mode" if args.problem == "rigid3" else args.problem
+    unread = [f"--{name}" for name, default in _SEARCH_DEFAULTS.items()
+              if name not in _SEARCH_READS[what] and getattr(args, name) != default]
+    if unread:
+        raise FormatError(f"{what} does not take {', '.join(unread)}")
     inputs: dict = {}
     if args.problem == "exhaust-negative":
         if args.group and args.n is not None:
@@ -298,7 +315,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group of a digraph")
     p.add_argument("--digraph", help="digraph file (arc-list format)")
-    p.add_argument("--group", help="group file (with --spec)")
+    p.add_argument("--group", help="group file (with --spec); the parts are vertex "
+                   "colors, so only part-preserving automorphisms are counted")
     p.add_argument("--spec", help="connection spec file (with --group)")
     p.add_argument("--oracle", action="store_true",
                    help="brute-force all permutations (degree <= 9)")
@@ -317,12 +335,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    choices=["rigid3", "drr2", "exhaust-negative"])
     p.add_argument("--m", type=_at_least(1), help="vertex count for rigid3")
-    p.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
-    p.add_argument("--budget", type=_at_least(0), default=1000)
+    p.add_argument("--mode", choices=["exhaustive", "randomized"],
+                   default=_SEARCH_DEFAULTS["mode"])
+    p.add_argument("--budget", type=_at_least(0), default=_SEARCH_DEFAULTS["budget"])
     p.add_argument("--oriented", action="store_true",
                    help="rigid3 variant: forbid digons")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=_at_least(1), default=_SEARCH_DEFAULTS["jobs"])
+    p.add_argument("--seed", type=int, default=_SEARCH_DEFAULTS["seed"])
     p.add_argument("--n", type=_at_least(1), help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")
     p.add_argument("--out")

@@ -5,7 +5,8 @@ Permutations act on points 0..n-1 and compose left to right: ``(a * b)(x)
 deterministic stabilizer chain (Schreier-Sims), which gives the exact
 order, a membership test, orbits and point stabilizers.  Every generator
 enters a chain through one method, ``PermGroup._extend``.  ``OrbitPartition``
-is the union-find shared by ``PermGroup.orbits`` and the automorphism search.
+is the union-find shared by ``PermGroup.orbits``, the automorphism search and
+the 2-part sweep's spec orbits.
 """
 
 from __future__ import annotations

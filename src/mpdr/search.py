@@ -14,8 +14,10 @@ group's ``mul``):
   (s(T01), s(T10));
 * swapping the parts, which gives (T10, T01).
 
-The first spec of each orbit, in sweep order, is searched, and every spec
-takes its orbit's order.
+The orbits are the classes of one union-find (``perms.OrbitPartition``)
+over the sweep indices, joined once per move generator.  Its roots are
+least points, so each class's root is its first spec in sweep order; that
+spec is searched, and every spec takes its orbit's order.
 
 The sweeps, the valency-2 scan and the rigid-digraph search ask only for an
 order or for rigidity, so they call ``automorphism_order`` and ``is_rigid``
@@ -42,6 +44,7 @@ from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
+from .perms import OrbitPartition
 
 EXHAUST_ORDER_CAP = 8
 EXHAUSTIVE_RIGID_CAP = 7
@@ -74,11 +77,11 @@ def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, 
     ``itertools.product`` over the 3-subsets.  The spec space is C(n,3)^2,
     so the group order is capped at ``EXHAUST_ORDER_CAP``.
 
-    Only the first spec of each orbit under the moves of the module
-    docstring (part relabelings by generators of the group, generators of
-    its automorphism group, and the part swap) is searched; each move is an
-    isomorphism of the built digraphs, so every spec gets its
-    representative's order."""
+    The orbits under the moves of the module docstring (part relabelings by
+    generators of the group, generators of its automorphism group, and the
+    part swap) are the classes of one union-find over the sweep indices.
+    Only each class's root, its first spec, is searched; each move is an
+    isomorphism of the built digraphs, so every spec gets its root's order."""
     n = group.order
     check_exhaust_order(n)
     triples = list(itertools.combinations(range(n), 3))
@@ -100,60 +103,41 @@ def check_exhaust_order(n: int) -> None:
 
 def _orbit_firsts(group: FiniteGroup, triples: list[tuple[int, ...]]) -> list[int]:
     """For the spec (T01, T10) = (triples[i], triples[j]) at sweep index
-    k = i * len(triples) + j, the least sweep index in its orbit."""
+    k = i * len(triples) + j, the least sweep index in its orbit: the root
+    of k's class once one union-find has merged every move generator."""
     c = len(triples)
     index = {t: k for k, t in enumerate(triples)}
 
     def on_triples(f):
         return [index[tuple(sorted(f[x] for x in t))] for t in triples]
 
-    steps = []
-    for move in _spec_moves(group):
-        f01, f10, swap = _spec_maps(group, move)
-        steps.append((on_triples(f01), on_triples(f10), swap))
-    first = [-1] * (c * c)
-    for start in range(c * c):
-        if first[start] >= 0:
-            continue
-        first[start] = start
-        stack = [start]
-        while stack:
-            i, j = divmod(stack.pop(), c)
-            for m01, m10, swap in steps:
-                k = m10[j] * c + m01[i] if swap else m01[i] * c + m10[j]
-                if first[k] < 0:
-                    first[k] = start
-                    stack.append(k)
-    return first
+    orbits = OrbitPartition(c * c)
+    for f01, f10, swap in _spec_maps(group):
+        m01, m10 = on_triples(f01), on_triples(f10)
+        orbits.merge([m10[j] * c + m01[i] if swap else m01[i] * c + m10[j]
+                      for i in range(c) for j in range(c)])
+    return [orbits.find(k) for k in range(c * c)]
 
 
-def _spec_moves(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
-    """Generators of the moves, each as (p0, p1, swap): vertex g_i goes to
-    p_i[g] in part i, or in the other part when ``swap``.  They are left
-    multiplication by each generator of the group on either part, each
-    generator of the group's automorphism group on both parts, and the
-    part swap."""
+def _spec_maps(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """Generators of the moves as element maps (f01, f10, swap): each takes
+    (T01, T10) to (f01(T01), f10(T10)), exchanged when ``swap``.  For each
+    generator a of the group, with ``right`` the map t -> t*a^-1, relabeling
+    part 0 gives (right, row(a)) and relabeling part 1 gives (row(a), right);
+    each generator s of the group's automorphism group gives (s, s); the
+    part swap comes last."""
     n = group.order
     ident = tuple(range(n))
-    moves = []
+    maps = []
     for a in _generating_set(range(n), group.mul, 0):
-        moves += [(group.row(a), ident, False), (ident, group.row(a), False)]
+        inv = group.inverse(a)
+        right = tuple(group.mul(t, inv) for t in range(n))
+        maps += [(right, group.row(a), False), (group.row(a), right, False)]
     autos = _automorphisms(group)
     for sigma in _generating_set(autos, lambda s, t: tuple(t[x] for x in s), ident):
-        moves.append((sigma, sigma, False))
-    moves.append((ident, ident, True))
-    return moves
-
-
-def _spec_maps(group: FiniteGroup, move) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """A move as element maps (f01, f10, swap): it takes (T01, T10) to
-    (f01(T01), f10(T10)), exchanged when ``swap``.  The identity of the
-    image's part i' comes from the g_i with p_i[g] the identity, so an arc
-    g_i -> (t*g)_j maps t to p_j[t*g]."""
-    p0, p1, swap = move
-    g0, g1 = p0.index(0), p1.index(0)
-    return (tuple(p1[group.mul(t, g0)] for t in range(group.order)),
-            tuple(p0[group.mul(t, g1)] for t in range(group.order)), swap)
+        maps.append((sigma, sigma, False))
+    maps.append((ident, ident, True))
+    return maps
 
 
 def _generating_set(elements, mul, identity) -> list:

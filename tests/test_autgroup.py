@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import autgroup
+from mpdr import autgroup, perms
 from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, PermGroup,
                   automorphism_group, automorphism_order, automorphism_search,
                   brute_force_automorphisms, build_m_cayley, cyclic_2pdr, is_pdr,
@@ -218,6 +219,25 @@ def test_search_leaves_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     cycle = Digraph(400, [(i, (i + 1) % 400) for i in range(400)])
     assert automorphism_search(cycle).group.order == 400
+
+
+def _self_calls(module) -> list[str]:
+    """The functions of the module that call themselves by name, directly
+    or as a method or attribute of the same name (``self.f``)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and fn.name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", [autgroup, perms], ids=lambda m: m.__name__)
+def test_no_recursion(module):
+    assert _self_calls(module) == []
 
 
 def test_search_stats_populated():

@@ -351,6 +351,36 @@ def test_exhaust_negative_n_and_group_rejected(capsys, files):
     assert "--n" in captured.err and "--group" in captured.err
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["rigid3", "--m", "5", "--n", "4", "--group", "z5"], ["--n", "--group"]),
+    (["rigid3", "--m", "5", "--budget", "10"], ["--budget"]),
+    (["rigid3", "--m", "5", "--seed", "3"], ["--seed"]),
+    (["rigid3", "--m", "5", "--mode", "randomized", "--jobs", "2"], ["--jobs"]),
+    (["drr2", "--group", "z5", "--m", "3", "--oriented", "--jobs", "4"],
+     ["--m", "--oriented", "--jobs"]),
+    (["drr2", "--group", "z5", "--n", "4", "--mode", "randomized"], ["--mode", "--n"]),
+    (["exhaust-negative", "--n", "4", "--m", "2", "--seed", "1"], ["--m", "--seed"]),
+])
+def test_search_rejects_unread_flags(capsys, files, argv, unread):
+    """A flag the problem (and rigid3 mode) does not read is named, not dropped."""
+    argv = [str(files[a]) if a == "z5" else a for a in argv]
+    assert main(["search", "--problem", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    assert all(flag in captured.err for flag in unread)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigid3", "--m", "4", "--budget", "1000", "--seed", "0"],
+    ["rigid3", "--m", "4", "--mode", "randomized", "--jobs", "1"],
+    ["drr2", "--group", "z5", "--mode", "exhaustive"],
+])
+def test_search_accepts_unread_flags_at_default(capsys, files, argv):
+    argv = [str(files[a]) if a == "z5" else a for a in argv]
+    assert main(["search", "--problem", *argv]) == 0
+
+
 def test_search_missing_args(capsys, files):
     assert main(["search", "--problem", "rigid3"]) == 3
     assert main(["search", "--problem", "exhaust-negative"]) == 3

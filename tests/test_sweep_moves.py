@@ -50,18 +50,19 @@ def _times(group, left, right):
 
 
 def _formula_moves(group):
-    """Each generator of the move group as (move tuple as search._spec_moves
-    gives it, vertex bijection, spec image from the formulas)."""
+    """Each generator of the move group as (element maps as search._spec_maps
+    gives them, vertex bijection, spec image from the formulas)."""
     n, e = group.order, 0
     ident = tuple(range(n))
     moves = []
     for a in search._generating_set(range(n), group.mul, 0):
         inv = group.inverse(a)
-        moves.append(((group.row(a), ident, False),
+        right = tuple(group.mul(t, inv) for t in range(n))
+        moves.append(((right, group.row(a), False),
                       lambda i, g, a=a: (i, group.mul(a, g) if i == 0 else g),
                       lambda t01, t10, a=a, inv=inv: (_times(group, e, inv)(t01),
                                                       _times(group, a, e)(t10))))
-        moves.append(((ident, group.row(a), False),
+        moves.append(((group.row(a), right, False),
                       lambda i, g, a=a: (i, group.mul(a, g) if i == 1 else g),
                       lambda t01, t10, a=a, inv=inv: (_times(group, a, e)(t01),
                                                       _times(group, e, inv)(t10))))
@@ -89,14 +90,16 @@ def test_move_generators(request, name):
         assert sorted(s) == list(range(n))
         assert all(s[group.mul(x, y)] == group.mul(s[x], s[y])
                    for x in range(n) for y in range(n))
-    assert [key for key, _, _ in _formula_moves(group)] == search._spec_moves(group)
+    assert [key for key, _, _ in _formula_moves(group)] == search._spec_maps(group)
 
 
 @pytest.mark.parametrize("name", sorted(AUT_ORDERS))
 def test_each_move_is_an_isomorphism(request, name):
     group = request.getfixturevalue(name)
-    for move, vertex, image in _formula_moves(group):
-        f01, f10, swap = search._spec_maps(group, move)
+    moves = _formula_moves(group)
+    maps = search._spec_maps(group)
+    assert len(maps) == len(moves)
+    for (f01, f10, swap), (_, vertex, image) in zip(maps, moves):
         for t01, t10 in _sample(group):
             assert _carries(group, vertex, image, t01, t10)
             moved = (tuple(sorted(f01[t] for t in t01)), tuple(sorted(f10[t] for t in t10)))
