@@ -14,10 +14,15 @@ keeps only the automorphisms it finds and their orbits.
 of the path vertex's orbit under the automorphisms found at that level and
 below, which fix the path vertices above it (McKay & Piperno 2014, as nauty
 reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
-So :func:`automorphism_order` reads the order off the search and builds no
-stabilizer chain, and :func:`is_rigid` stops at the first automorphism
-found.  :func:`automorphism_search` builds the chain once, from the
-generator list, and checks its order against the search's.
+So :func:`automorphisms` reads the order and the generators off the search
+and builds no stabilizer chain; :func:`automorphism_order`,
+``verify.is_pdr`` and the CLI's ``verify`` and ``aut`` read their answers
+from it, and :func:`is_rigid` stops at the first automorphism found.  A
+chain is built only on the first read of ``AutSearchResult.group``: by
+:func:`automorphism_search` (and so :func:`automorphism_group` and
+``verify.stabilizer_criterion_check``), once, from the generator list, with
+its order checked against the search's; the brute-force oracle builds its
+own.
 
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
@@ -39,6 +44,7 @@ when it picks it, and every other cell's order never reaches the output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import deque
@@ -59,9 +65,26 @@ _Partition = tuple[list[int], list[int], list[int], list[int], list[int]]
 
 @dataclass
 class AutSearchResult:
-    group: PermGroup
+    """What one search found: |Aut| and the automorphisms it kept, each
+    outside the group generated by those before it, so they are exactly the
+    generators a ``PermGroup`` built from them keeps."""
+
+    degree: int
+    order: int
+    generators: list[Permutation]
     nodes_explored: int
     elapsed: float
+
+    @functools.cached_property
+    def group(self) -> PermGroup:
+        """The stabilizer chain of the generators, built on first read.  Its
+        order must be the one the search read off its orbits; a disagreement
+        raises RuntimeError."""
+        group = PermGroup(self.degree, self.generators)
+        if group.order != self.order:
+            raise RuntimeError(f"stabilizer chain order {group.order} disagrees with "
+                               f"the search's orbit product {self.order}")
+        return group
 
 
 def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False) -> PermGroup:
@@ -77,32 +100,36 @@ def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False) -> Perm
 
 def automorphism_search(digraph: Digraph, *,
                         ignore_colors: bool = False) -> AutSearchResult:
-    """Like :func:`automorphism_group` but also reports search statistics.
+    """Like :func:`automorphisms`, with the stabilizer chain (``group``)
+    built before it returns; ``elapsed`` covers both."""
+    start = time.perf_counter()
+    result = automorphisms(digraph, ignore_colors=ignore_colors)
+    result.group  # builds the chain, which checks the search's order
+    result.elapsed = time.perf_counter() - start
+    return result
 
-    The chain built from the generators must have the order the search
-    read off its orbits; a disagreement raises RuntimeError."""
+
+def automorphisms(digraph: Digraph, *, ignore_colors: bool = False) -> AutSearchResult:
+    """|Aut|, its generators and the search statistics, read off the search:
+    no stabilizer chain is built unless ``group`` is read.  Colors as in
+    :func:`automorphism_group`."""
     start = time.perf_counter()
     search = _search(digraph, ignore_colors)
-    group = PermGroup(digraph.n, [Permutation(images) for images in search.automorphisms()])
-    if group.order != search.order:
-        raise RuntimeError(f"stabilizer chain order {group.order} disagrees with "
-                           f"the search's orbit product {search.order}")
-    return AutSearchResult(group, search.nodes, time.perf_counter() - start)
+    generators = [Permutation(images) for images in search.run()]
+    return AutSearchResult(digraph.n, search.order, generators, search.nodes,
+                           time.perf_counter() - start)
 
 
 def automorphism_order(digraph: Digraph, *, ignore_colors: bool = False) -> int:
     """The order of the automorphism group, read off the search: no
     stabilizer chain is built.  Colors as in :func:`automorphism_group`."""
-    search = _search(digraph, ignore_colors)
-    for _ in search.automorphisms():
-        pass
-    return search.order
+    return automorphisms(digraph, ignore_colors=ignore_colors).order
 
 
 def is_rigid(digraph: Digraph) -> bool:
     """True iff the only automorphism (respecting colors) is the identity;
     the search stops at the first other one it finds."""
-    return next(_search(digraph, False).automorphisms(), None) is None
+    return next(_search(digraph, False).run(), None) is None
 
 
 def _search(digraph: Digraph, ignore_colors: bool) -> _AutSearch:
@@ -166,8 +193,8 @@ class _AutSearch:
         self.digon_adj = [tuple(v for v in digraph.out_adj[u]
                                 if digraph.digon_bits[u] >> v & 1) for u in range(n)]
         self.nodes = 0
-        # |Aut| once automorphisms() is exhausted: the product, over the
-        # levels done so far, of each path vertex's orbit length
+        # |Aut| once run() is exhausted: the product, over the levels done
+        # so far, of each path vertex's orbit length
         self.order = 1
         self.first_leaf: tuple[int, ...] = ()
         # per path depth: (cell-size shape, singleton vertices by position)
@@ -268,7 +295,7 @@ class _AutSearch:
 
     # -- search ----------------------------------------------------------------
 
-    def automorphisms(self) -> Iterator[list[int]]:
+    def run(self) -> Iterator[list[int]]:
         """Run the search, yielding each automorphism found (as its list of
         images) the moment it is found.
 

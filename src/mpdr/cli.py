@@ -21,13 +21,13 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .autgroup import automorphism_search, brute_force_automorphisms
+from .autgroup import automorphisms, brute_force_automorphisms
 from .cayley import ConnectionSpec, build_m_cayley
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
 from .errors import CapExceededError, FormatError, MpdrError, PreconditionError
 from .groups import CLOSURE_CAP, FiniteGroup
-from .perms import Permutation
+from .perms import Permutation, group_json
 from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
                      scan_valency2, translate_relation, trivial_aut_3regular_search)
 from .verify import is_pdr
@@ -184,10 +184,10 @@ def _cmd_aut(args) -> int:
         doc["mode"] = "oracle"
         doc["aut"] = group.to_json_dict()
     else:
-        result = automorphism_search(digraph)
+        result = automorphisms(digraph)
         doc = _envelope(inputs)
         doc["mode"] = "search"
-        doc["aut"] = result.group.to_json_dict()
+        doc["aut"] = group_json(result.degree, result.order, result.generators)
         doc["nodes_explored"] = result.nodes_explored
     _emit(doc, args.out)
     return 0

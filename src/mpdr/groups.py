@@ -87,18 +87,23 @@ class FiniteGroup:
         ident = Permutation.identity(degree)
         elements: list[Permutation] = [ident]
         index: dict[Permutation, int] = {ident: 0}
+        # each element after the identity is found as elements[p] * norm[k]:
+        # its (p, k) is an edge of the discovery tree
+        found_as: list[tuple[int, int]] = [(0, 0)]
         gen_indices: list[int] = []
-        for g in norm:
+        for k, g in enumerate(norm):
             if g not in index:
                 index[g] = len(elements)
                 elements.append(g)
+                found_as.append((0, k))
             gen_indices.append(index[g])
 
+        # times[k][x] is the index of elements[x] * norm[k]
+        times: list[list[int]] = [[] for _ in norm]
         cursor = 0
         while cursor < len(elements):
             e = elements[cursor]
-            cursor += 1
-            for g in norm:
+            for k, g in enumerate(norm):
                 prod = e * g
                 if prod not in index:
                     if len(elements) >= CLOSURE_CAP:
@@ -106,9 +111,17 @@ class FiniteGroup:
                             f"group closure exceeds cap of {CLOSURE_CAP} elements")
                     index[prod] = len(elements)
                     elements.append(prod)
+                    found_as.append((cursor, k))
+                times[k].append(index[prod])
+            cursor += 1
 
-        n = len(elements)
-        table = [[index[elements[a] * elements[b]] for b in range(n)] for a in range(n)]
+        # Column b maps a to a * b.  Along the tree, a * b = (a * elements[p])
+        # * norm[k], so column b is column p followed by times[k]: integer
+        # lookups, no permutation products.
+        columns = [list(range(len(elements)))]
+        for p, k in found_as[1:]:
+            columns.append(list(map(times[k].__getitem__, columns[p])))
+        table = list(zip(*columns))
         labels = [p.cycle_string() for p in elements]
         seen: set[int] = set()
         designated = [i for i in gen_indices if not (i in seen or seen.add(i))]

@@ -335,8 +335,7 @@ class PermGroup:
         return PermGroup(self.degree, rebased._gens_at(1))
 
     def fixes_setwise(self, points: Iterable[int]) -> bool:
-        s = set(points)
-        return all({g(p) for p in s} == s for g in self.generators)
+        return generators_fix_setwise(self.generators, points)
 
     def fixes_pointwise(self, points: Iterable[int]) -> bool:
         pts = list(points)
@@ -353,15 +352,26 @@ class PermGroup:
                 for reps in itertools.product(*transversals))
 
     def to_json_dict(self) -> dict:
-        """Report form: order as a decimal string, generators in cycles."""
-        return {
-            "degree": self.degree,
-            "order": str(self.order),
-            "generators": [g.cycle_string() for g in self.generators],
-        }
+        return group_json(self.degree, self.order, self.generators)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def generators_fix_setwise(generators: Iterable[Permutation], points: Iterable[int]) -> bool:
+    """True iff every generator, and so the group they generate, maps the
+    point set onto itself."""
+    s = set(points)
+    return all({g(p) for p in s} == s for g in generators)
+
+
+def group_json(degree: int, order: int, generators: Iterable[Permutation]) -> dict:
+    """Report form of a group: order as a decimal string, generators in cycles."""
+    return {
+        "degree": degree,
+        "order": str(order),
+        "generators": [g.cycle_string() for g in generators],
+    }
 
 
 def is_semiregular(group: PermGroup) -> bool:

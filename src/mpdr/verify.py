@@ -4,17 +4,21 @@ The authoritative automorphism run for a verdict is color-blind: using the
 part coloring to compute Aut of a digraph whose whole point is that Aut
 fixes the parts would assume the conclusion.  The part-respecting run is
 available as a cross-check.
+
+A verdict reads |Aut| and its generators off the search
+(``autgroup.automorphisms``) and builds no stabilizer chain; the criterion
+check needs point stabilizers, so it builds one (``automorphism_search``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autgroup import automorphism_search
+from .autgroup import automorphism_search, automorphisms
 from .cayley import ConnectionSpec, MCayleyDigraph, build_m_cayley
 from .errors import PreconditionError
 from .groups import FiniteGroup
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, generators_fix_setwise
 
 
 @dataclass
@@ -62,8 +66,12 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
     if not spec.is_partite():
         raise PreconditionError("connection spec has a nonempty diagonal entry")
     x = build_m_cayley(group, spec)
-    result = automorphism_search(x.digraph, ignore_colors=color_blind)
-    aut = result.group
+    aut = automorphisms(x.digraph, ignore_colors=color_blind)
+    if aut.order % group.order:
+        # R(G) is a subgroup of Aut, so Lagrange's theorem fails only on a
+        # miscounting search
+        raise RuntimeError(f"automorphism group order {aut.order} is not a multiple "
+                           f"of the group order {group.order}")
     valency = x.digraph.regular_valency()
     witness = None
     if aut.order != group.order:
@@ -76,11 +84,12 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
         is_pdr=(valency is not None and aut.order == group.order),
         valency=valency,
         is_partite=True,
-        parts_fixed_setwise=[aut.fixes_setwise(part) for part in x.parts()],
+        parts_fixed_setwise=[generators_fix_setwise(aut.generators, part)
+                             for part in x.parts()],
         extra_automorphism_witness=witness,
         vertex_count=x.digraph.n,
-        search_nodes=result.nodes_explored,
-        elapsed=result.elapsed,
+        search_nodes=aut.nodes_explored,
+        elapsed=aut.elapsed,
         color_blind=color_blind,
     )
 

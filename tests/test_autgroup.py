@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -9,13 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import autgroup, perms
+from mpdr import autgroup, perms, verify
 from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, PermGroup,
-                  automorphism_group, automorphism_order, automorphism_search,
-                  brute_force_automorphisms, build_m_cayley, cyclic_2pdr, is_pdr,
-                  is_rigid, part_swap_automorphism, stabilizer_criterion_check,
+                  VerificationReport, automorphism_group, automorphism_order,
+                  automorphism_search, automorphisms, brute_force_automorphisms,
+                  build_m_cayley, cyclic_2pdr, cyclic_mpdr, exhaust_z2_m3_valency3,
+                  is_pdr, is_rigid, part_swap_automorphism, stabilizer_criterion_check,
                   two_generated_mpdr)
 from mpdr.search import _branch_rows
+
+from conftest import A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS
+from test_chain_pin import search_corpus
 
 # (order, nodes_explored, generator cycle strings) of the search core on fixed
 # digraphs, recorded once: node order and generator lists are deterministic.
@@ -441,6 +446,108 @@ def test_is_rigid_stops_at_first_automorphism(monkeypatch):
     assert len(found) == 1
     assert automorphism_order(k7) == 5040
     assert len(found) == 1 + 6  # one per path level: target cells of 7 down to 2
+
+
+def chain_cross_check_cases() -> dict[str, tuple[Digraph, bool]]:
+    """The searches of test_chain_pin.py and of search_golden.json."""
+    cases = {f"chain-pin-{name}": (digraph, ignore_colors)
+             for name, digraph, ignore_colors in search_corpus()}
+    cases.update(pinned_search_cases())
+    return cases
+
+
+def test_search_result_matches_chain():
+    """The order and generators read off the search are the chain's: every
+    automorphism kept lies outside the group generated by those before it."""
+    for name, (digraph, ignore_colors) in chain_cross_check_cases().items():
+        r = automorphisms(digraph, ignore_colors=ignore_colors)
+        assert r.order == r.group.order, name
+        assert r.generators == r.group.generators, name
+        chained = automorphism_search(digraph, ignore_colors=ignore_colors)
+        assert (r.order, r.generators, r.nodes_explored) == (
+            chained.order, chained.generators, chained.nodes_explored), name
+
+
+def test_automorphisms_builds_no_chain(monkeypatch):
+    class Refused(PermGroup):
+        def __init__(self, *args):
+            raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(autgroup, "PermGroup", Refused)
+    k7 = Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v])
+    assert automorphisms(k7).order == 5040
+    swap = ConnectionSpec.from_sets(2, 30, {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)})
+    assert is_pdr(FiniteGroup.cyclic(30), swap).aut_order == 60
+    with pytest.raises(AssertionError, match="chain was built"):
+        automorphism_search(k7)
+
+
+def chain_report(group: FiniteGroup, spec: ConnectionSpec,
+                 color_blind: bool) -> VerificationReport:
+    """is_pdr's report computed from the stabilizer chain of
+    ``automorphism_search``, the way is_pdr computed it before it read the
+    search's result."""
+    x = build_m_cayley(group, spec)
+    result = automorphism_search(x.digraph, ignore_colors=color_blind)
+    aut = result.group
+    valency = x.digraph.regular_valency()
+    witness = None
+    if aut.order != group.order:
+        witness = next((gen for gen in aut.generators
+                        if gen != x.right_translation(x.vertex_element(gen(0)))), None)
+    return VerificationReport(
+        group_order=group.order, aut_order=aut.order,
+        is_pdr=valency is not None and aut.order == group.order, valency=valency,
+        is_partite=True, parts_fixed_setwise=[aut.fixes_setwise(p) for p in x.parts()],
+        extra_automorphism_witness=witness, vertex_count=x.digraph.n,
+        search_nodes=result.nodes_explored, elapsed=0.0, color_blind=color_blind)
+
+
+def family_specs() -> list[tuple[str, FiniteGroup, ConnectionSpec]]:
+    """The cyclic and multi-part families, every exhaust_z2_m3_valency3 spec
+    and part swaps (negative, with witnesses)."""
+    cases = [(f"cyclic_2pdr({n})", FiniteGroup.cyclic(n), cyclic_2pdr(n))
+             for n in (5, 6, 7, 8, 12, 17)]
+    cases += [(f"cyclic_mpdr({n}, {m})", FiniteGroup.cyclic(n), cyclic_mpdr(n, m))
+              for n in (2, 3, 4, 5, 7) for m in (3, 4, 5) if (n, m) != (2, 3)]
+    for label, degree, gens in (("S3", 3, S3_GENS), ("D4", 4, D4_GENS), ("Q8", 8, Q8_GENS),
+                                ("Z2xZ4", 6, Z2Z4_GENS), ("A5", 5, A5_GENS)):
+        group = FiniteGroup.from_permutations(degree, gens)
+        x, y = group.designated_generators
+        cases += [(f"two_generated_mpdr({label}, {m})", group,
+                   two_generated_mpdr(group, x, y, m)) for m in (3, 4)]
+    z2 = FiniteGroup.cyclic(2)
+    cases += [(f"z2-m3-{k}", z2, spec) for k, (spec, _) in enumerate(exhaust_z2_m3_valency3())]
+    for n in (6, 9, 10):
+        swap = ConnectionSpec.from_sets(2, n, {(0, 1): (1, 2, 4 % n), (1, 0): (0, 1, 3)})
+        cases.append((f"part-swap-Z{n}", FiniteGroup.cyclic(n), swap))
+    return cases
+
+
+@pytest.mark.parametrize("color_blind", [True, False])
+def test_is_pdr_matches_chain_report(color_blind):
+    negatives = 0
+    for name, group, spec in family_specs():
+        report = is_pdr(group, spec, color_blind=color_blind)
+        expected = chain_report(group, spec, color_blind)
+        assert dataclasses.replace(report, elapsed=0.0) == expected, name
+        negatives += report.extra_automorphism_witness is not None
+    # color-blind: the 16 Z2 three-part specs and the 3 part swaps
+    assert negatives == (19 if color_blind else 1)
+
+
+def test_is_pdr_lagrange_guard(monkeypatch):
+    """R(G) lies in Aut, so a search order that |G| does not divide is a
+    miscount, and is_pdr refuses it rather than report it."""
+    search = verify.automorphisms
+
+    def miscounted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        return dataclasses.replace(result, order=result.order + 1)
+
+    monkeypatch.setattr(verify, "automorphisms", miscounted)
+    with pytest.raises(RuntimeError, match="not a multiple of the group order 5"):
+        is_pdr(FiniteGroup.cyclic(5), cyclic_2pdr(5))
 
 
 def test_chain_order_cross_check(monkeypatch):

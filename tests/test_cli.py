@@ -208,7 +208,7 @@ def test_memory_error_exit_2(capsys, monkeypatch, files, module, argv):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(f"{module}.automorphism_search", exhausted)
+    monkeypatch.setattr(f"{module}.automorphisms", exhausted)
     argv = [str(files[a]) if a in files else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 
@@ -5,6 +7,8 @@ import pytest
 
 from mpdr import CapExceededError, FiniteGroup, Permutation
 from mpdr.groups import CLOSURE_CAP
+
+from conftest import A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS
 
 
 def check_axioms(group, exhaustive_limit=60, samples=2000, seed=0):
@@ -212,3 +216,22 @@ def test_labels():
     assert z3.label(0) == "1"
     assert z3.label(1) == "x"
     assert z3.label(2) == "x^2"
+
+
+S5_GENS = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+# The closure's tables, inverses, designated generators and labels; the
+# last case repeats a generator and lists the identity.
+TABLES_SHA256 = "822b501bda25022d38b5a05622d1628e88a7aeae4120aecf7eac514d23f34531"
+
+
+def test_permutation_group_tables_pinned():
+    cases = [(3, S3_GENS), (4, D4_GENS), (8, Q8_GENS), (6, Z2Z4_GENS), (5, A5_GENS),
+             (5, S5_GENS), (3, [S3_GENS[0], [0, 1, 2], S3_GENS[0], S3_GENS[1]])]
+    records = []
+    for degree, gens in cases:
+        g = FiniteGroup.from_permutations(degree, gens)
+        records.append([[g.row(a) for a in range(g.order)],
+                        [g.inverse(a) for a in range(g.order)],
+                        g.designated_generators, g.labels])
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_SHA256
