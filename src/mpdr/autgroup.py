@@ -16,13 +16,12 @@ below, which fix the path vertices above it (McKay & Piperno 2014, as nauty
 reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 So :func:`automorphisms` reads the order and the generators off the search
 and builds no stabilizer chain; :func:`automorphism_order`,
-``verify.is_pdr`` and the CLI's ``verify`` and ``aut`` read their answers
-from it, and :func:`is_rigid` stops at the first automorphism found.  A
-chain is built only on the first read of ``AutSearchResult.group``: by
-:func:`automorphism_search` (and so :func:`automorphism_group` and
-``verify.stabilizer_criterion_check``), once, from the generator list, with
-its order checked against the search's; the brute-force oracle builds its
-own.
+``verify.is_pdr``, ``verify.stabilizer_criterion_check`` and the CLI's
+``verify`` and ``aut`` read their answers from it, and :func:`is_rigid`
+stops at the first automorphism found.  A chain is built only on the first
+read of ``AutSearchResult.group``: by :func:`automorphism_search` (and so
+:func:`automorphism_group`), once, from the generator list, with its order
+checked against the search's; the brute-force oracle builds its own.
 
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
@@ -132,10 +131,16 @@ def is_rigid(digraph: Digraph) -> bool:
     return next(_search(digraph, False).run(), None) is None
 
 
-def _search(digraph: Digraph, ignore_colors: bool) -> _AutSearch:
-    if digraph.n > VERTEX_CAP:
+def check_vertex_count(n: int) -> None:
+    """Refuse a digraph on more vertices than the search's cap; callers that
+    know n before building the digraph call it first."""
+    if n > VERTEX_CAP:
         raise CapExceededError(
-            f"automorphism search capped at {VERTEX_CAP} vertices, got {digraph.n}")
+            f"automorphism search capped at {VERTEX_CAP} vertices, got {n}")
+
+
+def _search(digraph: Digraph, ignore_colors: bool) -> _AutSearch:
+    check_vertex_count(digraph.n)
     return _AutSearch(digraph, ignore_colors=ignore_colors)
 
 

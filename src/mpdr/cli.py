@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .autgroup import automorphisms, brute_force_automorphisms
+from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_count
 from .cayley import ConnectionSpec, build_m_cayley
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
@@ -99,13 +99,19 @@ def _load_spec(path: str, inputs: dict) -> ConnectionSpec:
     return ConnectionSpec.from_json(_read(path, "spec", inputs))
 
 
-def _load_digraph_args(args, inputs: dict) -> tuple[Digraph, list[str] | None]:
+def _load_digraph_args(args, inputs: dict, *,
+                       searched: bool = False) -> tuple[Digraph, list[str] | None]:
+    """The digraph of --digraph, or of --group and --spec.  When it is
+    ``searched``, a spec over more vertices than the search takes is
+    refused before it is built."""
     if args.digraph:
         return Digraph.from_text(_read(args.digraph, "digraph", inputs)), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
     group = _load_group(args.group, inputs)
     spec = _load_spec(args.spec, inputs)
+    if searched:
+        check_vertex_count(spec.m * group.order)
     x = build_m_cayley(group, spec)
     labels = [x.vertex_label(v) for v in range(x.digraph.n)]
     return x.digraph, labels
@@ -177,7 +183,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     inputs: dict = {}
-    digraph, _ = _load_digraph_args(args, inputs)
+    digraph, _ = _load_digraph_args(args, inputs, searched=True)
     if args.oracle:
         group = brute_force_automorphisms(digraph)
         doc = _envelope(inputs)
@@ -340,7 +346,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(0), default=_SEARCH_DEFAULTS["budget"])
     p.add_argument("--oriented", action="store_true",
                    help="rigid3 variant: forbid digons")
-    p.add_argument("--jobs", type=_at_least(1), default=_SEARCH_DEFAULTS["jobs"])
+    p.add_argument("--jobs", type=_at_least(1), default=_SEARCH_DEFAULTS["jobs"],
+                   help="rigid3 exhaustive mode runs one sequential scan: must be 1")
     p.add_argument("--seed", type=int, default=_SEARCH_DEFAULTS["seed"])
     p.add_argument("--n", type=_at_least(1), help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")

@@ -24,17 +24,14 @@ order or for rigidity, so they call ``automorphism_order`` and ``is_rigid``
 and build no stabilizer chain; ``is_rigid`` stops at the first
 automorphism it finds.
 
-The rigid-digraph search partitions its space by vertex 0's out-set and
-enumerates each branch in lexicographic order.  Verdicts, witnesses and
-node counts are deterministic across --jobs settings: branch b's count is
-what a sequential scan of that branch alone would report, and the merged
-count sums the branches up to and including the first one with a witness.
+The exhaustive rigid-digraph search is one sequential scan of its
+candidates in lexicographic order of their rows, so its verdict, witness
+and node count are the same on every run.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -265,21 +262,25 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
     ``oriented``.
 
     Exhaustive mode enumerates every out-neighbor assignment with in-degree
-    pruning (m <= 7) and is deterministic; randomized mode draws ``budget``
-    3-regular digraphs, dropping the draws that get stuck, and can only
-    answer "witness-found" or "inconclusive".  ``nodes_explored`` counts
-    the digraphs tested.
+    pruning (m <= 7) in one deterministic scan; randomized mode draws
+    ``budget`` 3-regular digraphs, dropping the draws that get stuck, and
+    can only answer "witness-found" or "inconclusive".  ``nodes_explored``
+    counts the digraphs tested.  ``jobs`` must be 1 (any other value is
+    refused); exhaustive mode records it in its parameters.
     """
     start = time.perf_counter()
     if m < 1:
         raise PreconditionError(f"rigid3 needs at least 1 vertex, got m={m}")
+    if jobs != 1:
+        raise PreconditionError(
+            f"rigid3 runs one sequential scan: jobs must be 1, got {jobs}")
     params = {"m": m, "mode": mode, "oriented": oriented}
     if mode == "exhaustive":
         if m > EXHAUSTIVE_RIGID_CAP:
             raise PreconditionError(
                 f"exhaustive mode capped at m={EXHAUSTIVE_RIGID_CAP}, got {m}")
         params["jobs"] = jobs
-        witness_arcs, tested = _rigid_exhaustive(m, oriented, jobs)
+        witness_arcs, tested = _first_rigid(m, _branch_rows(m, oriented))
         verdict = "witness-found" if witness_arcs is not None else "none-exists"
     elif mode == "randomized":
         if m > RANDOMIZED_RIGID_CAP:
@@ -311,39 +312,6 @@ def _first_rigid(m: int, candidates):
     return None, tested
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """The process pool, imported on call so that ``import mpdr`` skips
-    ``multiprocessing``, which only a multi-worker rigid3 run needs."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
-def _rigid_exhaustive(m: int, oriented: bool, jobs: int):
-    """Merge the branches in order up to the first witness.  A pool, when
-    ``jobs`` allows one, has at most one worker per branch and per CPU, and
-    its queued branches are cancelled once the merge has its answer."""
-    first_rows = list(itertools.combinations(range(1, m), 3))
-    workers = min(jobs, len(first_rows), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        tested = 0
-        for witness, count in (pool.map if pool else map)(
-                _rigid_branch, itertools.repeat(m), first_rows, itertools.repeat(oriented)):
-            tested += count
-            if witness is not None:
-                return witness, tested
-        return None, tested
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
-def _rigid_branch(m: int, first_row: tuple[int, ...], oriented: bool):
-    """Sequential scan of one branch (vertex 0's out-set fixed); returns
-    (first witness arc list or None, digraphs tested up to that point)."""
-    return _first_rigid(m, _branch_rows(m, [first_row], oriented))
-
-
 def _row_targets(m: int, v: int, rows: list[tuple[int, ...]], indeg: list[int],
                  oriented: bool) -> list[int]:
     """What vertex v's row may draw from, given rows 0..v-1: every other vertex
@@ -352,18 +320,14 @@ def _row_targets(m: int, v: int, rows: list[tuple[int, ...]], indeg: list[int],
             and not (oriented and u < v and v in rows[u])]
 
 
-def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
-    """Every completion of ``rows`` (the out-rows of vertices 0, 1, ...) to
-    a loopless 3-regular digraph on m vertices, digon-free when ``oriented``,
-    in lexicographic order.  Vertex v's row is drawn from its
-    ``_row_targets``, and a prefix is cut once an in-degree can no longer
-    reach 3.  A vertex's deficit is at most 3, so that deadline can bind
-    only once three rows or fewer remain."""
-    rows = list(rows)
+def _branch_rows(m: int, oriented: bool):
+    """Every loopless 3-regular digraph on m vertices, digon-free when
+    ``oriented``, as its out-rows, in lexicographic order.  Vertex v's row is
+    drawn from its ``_row_targets``, and a prefix is cut once an in-degree
+    can no longer reach 3.  A vertex's deficit is at most 3, so that
+    deadline can bind only once three rows or fewer remain."""
+    rows: list[tuple[int, ...]] = []
     indeg = [0] * m
-    for row in rows:
-        for j in row:
-            indeg[j] += 1
 
     def feasible(next_v: int) -> bool:
         rem = m - next_v
@@ -385,8 +349,8 @@ def _branch_rows(m: int, rows: list[tuple[int, ...]], oriented: bool):
             for j in combo:
                 indeg[j] -= 1
 
-    if feasible(len(rows)):
-        yield from extend(len(rows))
+    if feasible(0):
+        yield from extend(0)
 
 
 def _sampled_rows(m: int, oriented: bool, budget: int, seed: int):

@@ -13,7 +13,7 @@ from mpdr import (ConnectionSpec, Digraph, FiniteGroup, automorphism_group,
                   automorphism_search, brute_force_automorphisms, build_m_cayley,
                   cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, exhaust_2partite_valency3,
                   exhaust_z2_m3_valency3, find_valency2_orr, is_pdr, is_semiregular,
-                  stabilizer_criterion_check, translate_relation,
+                  PreconditionError, stabilizer_criterion_check, translate_relation,
                   trivial_aut_3regular_search, two_generated_mpdr)
 
 
@@ -223,7 +223,7 @@ def test_criterion_11_criterion_instances_consistent(corpus):
 
 def test_criterion_12_rigid_search_verdicts():
     with _Criterion(12, "rigid 3-regular verdicts: m=4 none (complete digraph, "
-                        "aut 24); m=5,6 stable across reruns and jobs"):
+                        "aut 24); m=5,6 stable across reruns; jobs > 1 refused"):
         v4 = trivial_aut_3regular_search(4)
         assert v4.verdict == "none-exists"
         assert v4.nodes_explored == 1
@@ -233,9 +233,10 @@ def test_criterion_12_rigid_search_verdicts():
         for m in (5, 6):
             first = trivial_aut_3regular_search(m, jobs=1)
             second = trivial_aut_3regular_search(m, jobs=1)
-            parallel = trivial_aut_3regular_search(m, jobs=2)
             key = lambda v: (v.verdict, v.witness, v.nodes_explored)
-            assert key(first) == key(second) == key(parallel), m
+            assert key(first) == key(second), m
+            with pytest.raises(PreconditionError):
+                trivial_aut_3regular_search(m, jobs=2)
         assert trivial_aut_3regular_search(5).verdict == "none-exists"
         v6 = trivial_aut_3regular_search(6)
         assert v6.verdict == "witness-found"

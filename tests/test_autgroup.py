@@ -411,11 +411,10 @@ def test_is_rigid_on_rigid3_candidates(oriented):
     # no oriented candidate exists below m = 7, so that side takes m = 7 too
     tested = 0
     for m in range(1, 8 if oriented else 7):
-        for first_row in itertools.combinations(range(1, m), 3):
-            for rows in _branch_rows(m, [first_row], oriented):
-                g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
-                assert is_rigid(g) == (automorphism_search(g).group.order == 1)
-                tested += 1
+        for rows in _branch_rows(m, oriented):
+            g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
+            assert is_rigid(g) == (automorphism_search(g).group.order == 1)
+            tested += 1
     assert tested == (2640 if oriented else 1 + 44 + 7570)
 
 
@@ -688,3 +687,62 @@ def test_criterion_never_violated_on_random_specs():
         x = build_m_cayley(group, ConnectionSpec.from_sets(m, n, sets))
         report = stabilizer_criterion_check(x)
         assert report.consistent, (n, m, sets)
+
+
+def _criterion_corpus(s3):
+    """(group, spec) pairs: those of the criterion tests above (the random
+    ones drawn as there), every ``exhaust_z2_m3_valency3`` spec and every
+    2-part Z4 spec with 3-element sets."""
+    z4 = FiniteGroup.cyclic(4)
+    yield s3, two_generated_mpdr(s3, 1, 2, 3)
+    yield FiniteGroup.cyclic(3), ConnectionSpec.from_sets(
+        2, 3, {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)})
+    yield FiniteGroup.cyclic(5), cyclic_2pdr(5)
+    yield z4, ConnectionSpec.from_sets(2, 4, {(0, 1): (0,), (1, 0): (0,)})
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m = rng.randint(2, 3)
+        sets = {}
+        for i in range(m):
+            for j in range(m):
+                if i != j and rng.random() < 0.6:
+                    size = rng.randint(1, n)
+                    sets[(i, j)] = tuple(rng.sample(range(n), size))
+        yield FiniteGroup.cyclic(n), ConnectionSpec.from_sets(m, n, sets)
+    for spec, _ in exhaust_z2_m3_valency3():
+        yield FiniteGroup.cyclic(2), spec
+    triples = list(itertools.combinations(range(4), 3))
+    for t01, t10 in itertools.product(triples, repeat=2):
+        yield z4, ConnectionSpec.from_sets(2, 4, {(0, 1): t01, (1, 0): t10})
+
+
+def test_criterion_stabilizers_match_chain(monkeypatch, s3):
+    """The criterion check reads each chosen vertex's stabilizer off a search
+    of the digraph with that vertex in its own color class.  On every
+    (spec, chosen vertex) of the corpus, that stabilizer has the order of
+    the chain's ``point_stabilizer`` and the same ``fixes_pointwise``
+    verdict on the vertex's out-neighborhood."""
+    searched = []
+
+    def recording(digraph, **kwargs):
+        searched.append(automorphisms(digraph, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(verify, "automorphisms", recording)
+    cases = 0
+    for group, spec in _criterion_corpus(s3):
+        x = build_m_cayley(group, spec)
+        chain = automorphism_search(x.digraph, ignore_colors=True).group
+        searched.clear()
+        rep = stabilizer_criterion_check(x)
+        assert rep.aut_order == chain.order
+        assert len(searched) == 1 + x.m
+        chosen = [x.vertex(0, i) for i in range(x.m)]
+        for u, stab, fixes in zip(chosen, searched[1:],
+                                  rep.stabilizer_fixes_out_neighborhood):
+            expected = chain.point_stabilizer(u)
+            assert stab.order == expected.order, (spec, u)
+            assert fixes == expected.fixes_pointwise(x.digraph.out_adj[u]), (spec, u)
+            cases += 1
+    assert cases == 9 + 153 + 16 * 3 + 16 * 2

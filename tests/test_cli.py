@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,36 @@ def test_search_rejects_bad_jobs_and_budget(capsys, argv):
     assert captured.out == ""
     assert "must be at least" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_search_rigid3_jobs_above_one_refused(capsys):
+    # exhaustive rigid3 is one sequential scan; a pool size is not accepted
+    assert main(["search", "--problem", "rigid3", "--m", "5", "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
+    assert "jobs must be 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "aut"])
+def test_oversized_spec_refused_before_build(capsys, monkeypatch, files, command):
+    """m = 200000 parts over Z5 is 10^6 vertices: refused from the spec's
+    header, before the digraph is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the digraph was built")
+
+    monkeypatch.setattr("mpdr.cli.build_m_cayley", unbuilt)
+    monkeypatch.setattr("mpdr.verify.build_m_cayley", unbuilt)
+    big = files["tmp"] / "big.spec"
+    big.write_text(json.dumps({"m": 200000, "n": 5,
+                               "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]}]}))
+    start = time.perf_counter()
+    assert main([command, "--group", str(files["z5"]), "--spec", str(big)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
+    assert "1000000" in captured.err
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

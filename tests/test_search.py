@@ -1,4 +1,4 @@
-import itertools
+import collections
 import math
 import os
 import subprocess
@@ -86,19 +86,25 @@ def test_rigid_m5_none_with_derangement_count():
 @pytest.mark.parametrize("m, oriented, count", [
     (4, False, 1),     # the complete digraph on 4 vertices
     (5, False, 44),    # derangements of 5 (complements of permutation digraphs)
+    (6, False, 7570),
     (7, True, 2640),   # labelled regular tournaments on 7 vertices, OEIS A007079
 ])
 def test_rigid_enumeration_counts(m, oriented, count):
-    """The branches' candidates, without running Aut: distinct, loopless,
-    3-regular, digon-free when oriented, and as many as the closed form."""
+    """The scan's candidates, without running Aut: distinct, loopless,
+    3-regular, digon-free when oriented, and as many as the closed form.
+    Each of the C(m-1, 3) vertex-0 rows carries the same number of
+    candidates (1; 11 x 4; 757 x 10; 132 x 20), as a permutation of
+    1..m-1 maps one row's candidates onto another's."""
     seen = set()
-    for first_row in itertools.combinations(range(1, m), 3):
-        for rows in search._branch_rows(m, [first_row], oriented):
-            g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
-            assert g.is_k_regular(3)
-            assert g.is_oriented() or not oriented
-            seen.add(tuple(rows))
+    for rows in search._branch_rows(m, oriented):
+        g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
+        assert g.is_k_regular(3)
+        assert g.is_oriented() or not oriented
+        seen.add(tuple(rows))
     assert len(seen) == count
+    per_row = collections.Counter(rows[0] for rows in seen)
+    assert len(per_row) == math.comb(m - 1, 3)
+    assert set(per_row.values()) == {count // len(per_row)}
 
 
 @pytest.mark.parametrize("m", [8, 12, 24])
@@ -123,59 +129,18 @@ def test_rigid_m6_witness():
 
 def test_rigid_jobs_deterministic():
     for m in (5, 6):
-        seq = trivial_aut_3regular_search(m, jobs=1)
-        par = trivial_aut_3regular_search(m, jobs=2)
-        assert (seq.verdict, seq.witness, seq.nodes_explored) == \
-            (par.verdict, par.witness, par.nodes_explored)
-
-
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs the branches in this process,
-    lazily, and records its size, the branches merged and its shutdown."""
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.merged = 0
-        self.shutdown_args = None
-
-    def map(self, fn, *iterables):
-        for args in zip(*iterables):
-            self.merged += 1
-            yield fn(*args)
-
-    def shutdown(self, **kwargs):
-        self.shutdown_args = kwargs
-
-
-@pytest.mark.parametrize("jobs, cpus, workers", [
-    (1000, 64, 10),   # at most one worker per branch: C(5, 3) = 10 at m = 6
-    (3, 64, 3),
-    (1000, 2, 2),
-    (1000, None, None),
-    (2, 1, None),
-])
-def test_rigid_pool_capped_and_stopped_at_witness(monkeypatch, jobs, cpus, workers):
-    expected = trivial_aut_3regular_search(6, jobs=1)
-    pools = []
-
-    def make_pool(max_workers):
-        pools.append(_InProcessPool(max_workers))
-        return pools[-1]
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    verdict = trivial_aut_3regular_search(6, jobs=jobs)
-    assert (verdict.verdict, verdict.witness, verdict.nodes_explored) == \
-        (expected.verdict, expected.witness, expected.nodes_explored)
-    assert verdict.parameters["jobs"] == jobs
-    assert [pool.max_workers for pool in pools] == ([] if workers is None else [workers])
-    for pool in pools:
-        assert pool.merged == 1  # branch (1, 2, 3) holds the witness; nothing after it
-        assert pool.shutdown_args == {"cancel_futures": True}
+        first = trivial_aut_3regular_search(m, jobs=1)
+        second = trivial_aut_3regular_search(m, jobs=1)
+        assert (first.verdict, first.witness, first.nodes_explored) == \
+            (second.verdict, second.witness, second.nodes_explored)
+        assert first.parameters["jobs"] == 1
+    for mode, jobs in (("exhaustive", 2), ("exhaustive", 0), ("randomized", 2)):
+        with pytest.raises(PreconditionError, match="jobs must be 1"):
+            trivial_aut_3regular_search(5, mode=mode, jobs=jobs)
 
 
 def test_import_leaves_process_pool_unloaded():
-    # the pool (and multiprocessing with it) is imported only by a run that uses it
+    # the search runs in one process, so nothing imports the pool or multiprocessing
     src = str(Path(search.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
