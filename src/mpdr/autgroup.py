@@ -131,9 +131,12 @@ def is_rigid(digraph: Digraph) -> bool:
     return next(_search(digraph, False).run(), None) is None
 
 
-def check_vertex_count(n: int) -> None:
-    """Refuse a digraph on more vertices than the search's cap; callers that
-    know n before building the digraph call it first."""
+def check_vertex_count(n: int, *, brute_force: bool = False) -> None:
+    """Refuse a digraph on more vertices than the search's cap, or with
+    ``brute_force`` the oracle's; callers that know n before building the
+    digraph call it first."""
+    if brute_force and n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"brute force capped at {BRUTE_FORCE_CAP} vertices")
     if n > VERTEX_CAP:
         raise CapExceededError(
             f"automorphism search capped at {VERTEX_CAP} vertices, got {n}")
@@ -148,8 +151,7 @@ def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
     """Independent oracle: filter all n! vertex permutations by arc and
     color preservation.  Only for n <= 9."""
     n = digraph.n
-    if n > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"brute force capped at {BRUTE_FORCE_CAP} vertices")
+    check_vertex_count(n, brute_force=True)
     col = digraph.vertex_color
     arcs = digraph.arcs()
     out_bits = digraph.out_bits

@@ -102,16 +102,19 @@ def _load_spec(path: str, inputs: dict) -> ConnectionSpec:
 def _load_digraph_args(args, inputs: dict, *,
                        searched: bool = False) -> tuple[Digraph, list[str] | None]:
     """The digraph of --digraph, or of --group and --spec.  When it is
-    ``searched``, a spec over more vertices than the search takes is
-    refused before it is built."""
+    ``searched``, a digraph over more vertices than the search (with
+    --oracle, the brute force) takes is refused before it is built."""
+    def check(n: int) -> None:
+        if searched:
+            check_vertex_count(n, brute_force=args.oracle)
+
     if args.digraph:
-        return Digraph.from_text(_read(args.digraph, "digraph", inputs)), None
+        return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
     group = _load_group(args.group, inputs)
     spec = _load_spec(args.spec, inputs)
-    if searched:
-        check_vertex_count(spec.m * group.order)
+    check(spec.m * group.order)
     x = build_m_cayley(group, spec)
     labels = [x.vertex_label(v) for v in range(x.digraph.n)]
     return x.digraph, labels

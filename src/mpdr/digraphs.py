@@ -9,7 +9,7 @@ are part of the value and are respected by the automorphism machinery.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, FormatError
 
@@ -189,8 +189,10 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> Digraph:
-        """Parse the arc-list format: ``n <count>`` then one ``u v`` per line."""
+    def from_text(cls, text: str, check: Callable[[int], None] | None = None) -> Digraph:
+        """Parse the arc-list format: ``n <count>`` then one ``u v`` per line.
+        ``check``, when given, is called with the count before anything is
+        built, so a caller's vertex cap refuses an oversized file unbuilt."""
         lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln]
         if not lines or not lines[0].startswith("n "):
@@ -199,6 +201,8 @@ class Digraph:
             n = int(lines[0].split()[1])
         except (IndexError, ValueError) as exc:
             raise FormatError(f"bad vertex count line: {lines[0]!r}") from exc
+        if check is not None:
+            check(n)
         arcs = []
         for ln in lines[1:]:
             parts = ln.split()

@@ -4,9 +4,11 @@ Permutations act on points 0..n-1 and compose left to right: ``(a * b)(x)
 == b(a(x))``, i.e. "apply a, then b".  Groups are represented by a
 deterministic stabilizer chain (Schreier-Sims), which gives the exact
 order, a membership test, orbits and point stabilizers.  Every generator
-enters a chain through one method, ``PermGroup._extend``.  ``OrbitPartition``
-is the union-find shared by ``PermGroup.orbits``, the automorphism search and
-the 2-part sweep's spec orbits.
+enters a chain through one method, ``PermGroup._extend``.  Sifting runs on
+raw image tuples, and each level caches the inverse images of a transversal
+element the first time a sift needs them.  ``OrbitPartition`` is the
+union-find shared by ``PermGroup.orbits``, the automorphism search and the
+2-part sweep's spec orbits.
 """
 
 from __future__ import annotations
@@ -89,10 +91,7 @@ class Permutation:
         return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._unchecked(tuple(inv))
+        return Permutation._unchecked(_inverse_images(self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -138,16 +137,33 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
+def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
+
+
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
-    added at this level, and the transversal of the base point's orbit."""
+    added at this level, the transversal of the base point's orbit, and
+    ``inverses``, the inverse images of the transversal elements that sifts
+    have used so far (cleared whenever the transversal is rebuilt)."""
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal = {point: Permutation.identity(degree)}
+        self.inverses: dict[int, tuple[int, ...]] = {}
+
+    def inverse(self, p: int) -> tuple[int, ...]:
+        """The images of ``transversal[p]``'s inverse, computed once."""
+        inv = self.inverses.get(p)
+        if inv is None:
+            inv = self.inverses[p] = _inverse_images(self.transversal[p].images)
+        return inv
 
 
 _ELEMENT_CAP = 2_000_000
@@ -192,6 +208,7 @@ class PermGroup:
 
     def __init__(self, degree: int, generators: Iterable[Permutation | Sequence[int]]):
         self.degree = int(degree)
+        self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
         self.generators: list[Permutation] = []
         for g in generators:
@@ -214,6 +231,7 @@ class PermGroup:
         lvl = self._levels[level]
         gens = self._gens_at(level)
         lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
+        lvl.inverses = {}
         queue = deque([lvl.point])
         while queue:
             p = queue.popleft()
@@ -224,17 +242,20 @@ class PermGroup:
                     lvl.transversal[q] = t_p * s
                     queue.append(q)
 
-    def _strip(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Sift g through the chain; return (residue, level it stuck at)."""
-        for i in range(start, len(self._levels)):
-            lvl = self._levels[i]
-            p = g(lvl.point)
+    def _strip(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Sift a permutation's images through the chain from level
+        ``start``; return (residue images, level it stuck at)."""
+        levels = self._levels
+        for i in range(start, len(levels)):
+            lvl = levels[i]
+            p = images[lvl.point]
             if p == lvl.point:
                 continue
             if p not in lvl.transversal:
-                return g, i
-            g = g * lvl.transversal[p].inverse()
-        return g, len(self._levels)
+                return images, i
+            inv = lvl.inverses.get(p) or lvl.inverse(p)  # the hit inline: hot loop
+            images = tuple(map(inv.__getitem__, images))
+        return images, len(levels)
 
     def _extend(self, g: Permutation) -> bool:
         """Add a generator, repairing the chain.  Returns False, changing
@@ -243,10 +264,10 @@ class PermGroup:
         ``pending`` stacks the levels still to complete, the next on top.  A
         residue stuck at level ``at`` while ``level`` is checked joins the
         chain, and levels ``at`` down to ``level + 1`` are completed first."""
-        residue, at = self._strip(g)
-        if residue.is_identity():
+        residue, at = self._strip(g.images)
+        if residue == self._identity:
             return False
-        self._add_strong(residue, at)
+        self._add_strong(Permutation._unchecked(residue), at)
         pending = list(range(at + 1))
         while pending:
             level = pending[-1]
@@ -272,16 +293,18 @@ class PermGroup:
         the deeper chain is not the identity, as (residue, level it stuck
         at); None when the level is complete.  A generator is the identity
         exactly when t_p * s equals the transversal element of s(p), which
-        is tested before any inverse is built."""
-        transversal = self._levels[level].transversal
-        for (p, t_p), s in itertools.product(transversal.items(), self._gens_at(level)):
-            t_ps = t_p * s
-            t_q = transversal[s(p)]
-            if t_ps == t_q:
+        is tested before any inverse is looked up."""
+        lvl = self._levels[level]
+        transversal = lvl.transversal
+        gens = [s.images for s in self._gens_at(level)]
+        for (p, t_p), s in itertools.product(transversal.items(), gens):
+            t_ps = tuple(map(s.__getitem__, t_p.images))
+            q = s[p]
+            if t_ps == transversal[q].images:
                 continue
-            residue, at = self._strip(t_ps * t_q.inverse(), level + 1)
-            if not residue.is_identity():
-                return residue, at
+            residue, at = self._strip(tuple(map(lvl.inverse(q).__getitem__, t_ps)), level + 1)
+            if residue != self._identity:
+                return Permutation._unchecked(residue), at
         return None
 
     # -- queries -----------------------------------------------------------
@@ -298,8 +321,8 @@ class PermGroup:
             g = Permutation(g)
         if g.degree != self.degree:
             return False
-        residue, _ = self._strip(g)
-        return residue.is_identity()
+        residue, _ = self._strip(g.images)
+        return residue == self._identity
 
     def __contains__(self, g) -> bool:
         return self.contains(g)

@@ -348,6 +348,36 @@ def test_oversized_spec_refused_before_build(capsys, monkeypatch, files, command
     assert "1000000" in captured.err
 
 
+@pytest.mark.parametrize("vertices, oracle, inputs, cap", [
+    (200000, False, "digraph", "2048"),
+    (200000, True, "digraph", "brute force"),
+    (10, True, "digraph", "brute force"),
+    (10, True, "spec", "brute force"),
+])
+def test_oversized_digraph_refused_before_build(capsys, monkeypatch, files,
+                                                vertices, oracle, inputs, cap):
+    """aut refuses a digraph file from its ``n`` header, and with --oracle
+    anything over the brute force's cap, before the digraph is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the digraph was built")
+
+    monkeypatch.setattr("mpdr.digraphs.Digraph.__init__", unbuilt)
+    monkeypatch.setattr("mpdr.cli.build_m_cayley", unbuilt)
+    if inputs == "digraph":
+        big = files["tmp"] / "big.dg"
+        big.write_text(f"n {vertices}\n0 1\n")
+        argv = ["aut", "--digraph", str(big)]
+    else:
+        argv = ["aut", "--group", str(files["z5"]), "--spec", str(files["fig"])]
+    start = time.perf_counter()
+    assert main(argv + ["--oracle"] * oracle) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
+    assert cap in captured.err
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_envelope_hashes_piped_input(capsys, files):
     """A pipe can be read once: the reported hash is of the bytes parsed."""

@@ -6,6 +6,7 @@ import pytest
 
 from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
                   automorphism_group, build_m_cayley, cyclic_2pdr)
+from test_chain_pin import search_corpus
 
 
 def test_cycle_parse_format_roundtrip():
@@ -84,6 +85,21 @@ def test_trivial_group():
     assert g.orbits() == [[0], [1], [2], [3]]
 
 
+def closure(degree: int, gens: list[Permutation]) -> set[tuple[int, ...]]:
+    """Every element of the group, as image tuples, found by closing the
+    identity under right multiplication: no stabilizer chain involved."""
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        e = frontier.pop()
+        for s in gens:
+            nxt = tuple(s.images[i] for i in e)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def test_order_equals_element_count_small():
     """Chain order vs honest enumeration, on a batch of random 2-generator
     subgroups of S_6."""
@@ -95,15 +111,7 @@ def test_order_equals_element_count_small():
             rng.shuffle(images)
             gens.append(Permutation(images))
         g = PermGroup(6, gens)
-        elements = set()
-        frontier = [Permutation.identity(6)]
-        while frontier:
-            e = frontier.pop()
-            if e in elements:
-                continue
-            elements.add(e)
-            for s in gens:
-                frontier.append(e * s)
+        elements = closure(6, gens)
         assert g.order == len(elements)
         assert len(set(g.elements())) == g.order
         for e in elements:
@@ -178,16 +186,7 @@ def test_chain_order_matches_closure_at_5040():
     gens = [Permutation(list(range(1, 7)) + [0]), Permutation.from_cycles("(0 1)", 7)]
     g = PermGroup(7, gens)
     assert g.order == 5040
-    closure = {Permutation.identity(7)}
-    frontier = list(closure)
-    while frontier:
-        e = frontier.pop()
-        for s in gens:
-            nxt = e * s
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    assert len(closure) == 5040
+    assert len(closure(7, gens)) == 5040
     assert len(set(g.elements())) == 5040
 
 
@@ -269,3 +268,83 @@ def test_chain_order_matches_sympy():
         assert group.order == other.order(), name
         for v in sorted({0, group.degree // 2, group.degree - 1}):
             assert group.point_stabilizer(v).order == other.stabilizer(v).order(), (name, v)
+
+
+def chain_invariant_groups() -> list[tuple[str, PermGroup]]:
+    """The chain pin's search corpus and 50 seeded groups, each generated
+    by random permutations of a random subset of the points."""
+    cases = [(name, automorphism_group(digraph, ignore_colors=ignore_colors))
+             for name, digraph, ignore_colors in search_corpus()]
+    for seed in range(50):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(2, 12)
+        moved = rng.sample(range(n), rng.randint(2, n))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(images))
+        cases.append((f"random-{seed}", PermGroup(n, gens)))
+    return cases
+
+
+def check_chain(name: str, group: PermGroup, rng: random.Random) -> int:
+    """Membership of random words and of seeded non-members, then the
+    inverse cache: every cached inverse undoes its transversal element.
+    Returns the number of cached inverses checked."""
+    n = group.degree
+    gens = group.generators or [Permutation.identity(n)]
+    orbits = group.orbits()
+    for _ in range(20):
+        word = Permutation.identity(n)
+        for _ in range(rng.randint(0, 8)):
+            s = rng.choice(gens)
+            word = word * (s if rng.random() < 0.5 else s.inverse())
+        assert group.contains(word), name
+        if len(orbits) > 1:
+            # a point sent outside its orbit: not a member
+            a, b = rng.sample(orbits, 2)
+            swap = list(range(n))
+            x, y = rng.choice(a), rng.choice(b)
+            swap[x], swap[y] = y, x
+            assert not group.contains(word * Permutation(swap)), name
+    if group.order <= 2000:
+        members = closure(n, gens)
+        assert len(members) == group.order, name
+        for _ in range(20):
+            images = rng.sample(range(n), n)
+            assert group.contains(images) == (tuple(images) in members), name
+    identity = tuple(range(n))
+    checked = 0
+    for lvl in group._levels:
+        for p, inv in lvl.inverses.items():
+            assert tuple(inv[i] for i in lvl.transversal[p].images) == identity, (name, p)
+            checked += 1
+    return checked
+
+
+def test_chain_invariants_behind_the_inverse_cache():
+    """Sifts read each transversal element's inverse from a per-level cache
+    that a rebuilt orbit must clear: membership stays exact, and every
+    cached inverse matches its transversal element, also after ``_extend``
+    grows level 0's orbit."""
+    rng = random.Random(13)
+    checked = grown = 0
+    for name, group in chain_invariant_groups():
+        checked += check_chain(name, group, rng)
+        if not group._levels:
+            continue
+        level0 = group._levels[0]
+        outside = [v for v in range(group.degree) if v not in level0.transversal]
+        if not outside:
+            continue
+        swap = list(range(group.degree))
+        x, y = level0.point, rng.choice(outside)
+        swap[x], swap[y] = y, x
+        before = len(level0.transversal)
+        assert group._extend(Permutation(swap)), name
+        assert len(group._levels[0].transversal) > before, name
+        checked += check_chain(name + " extended", group, rng)
+        grown += 1
+    assert checked > 0 and grown > 0, (checked, grown)
