@@ -6,9 +6,12 @@ deterministic stabilizer chain (Schreier-Sims), which gives the exact
 order, a membership test, orbits and point stabilizers.  Every generator
 enters a chain through one method, ``PermGroup._extend``.  Sifting runs on
 raw image tuples, and each level caches the inverse images of a transversal
-element the first time a sift needs them.  ``OrbitPartition`` is the
-union-find shared by ``PermGroup.orbits``, the automorphism search and the
-2-part sweep's spec orbits.
+element the first time a sift needs them.  Each level records the (orbit
+point, strong generator) pairs whose Schreier generators it has verified,
+so each is sifted once while the level's transversal stands (the
+incremental Schreier-Sims of Seress, *Permutation Group Algorithms*, ch. 4).
+``OrbitPartition`` is the union-find shared by ``PermGroup.orbits``, the
+automorphism search and the 2-part sweep's spec orbits.
 """
 
 from __future__ import annotations
@@ -146,17 +149,24 @@ def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
-    added at this level, the transversal of the base point's orbit, and
-    ``inverses``, the inverse images of the transversal elements that sifts
-    have used so far (cleared whenever the transversal is rebuilt)."""
+    added at this level with their bits (``1 << serial``, the serial counting
+    the chain's strong generators in the order they were added), the
+    transversal of the base point's orbit, ``inverses``, the inverse images of
+    the transversal elements that sifts have used so far, and ``checked``,
+    which maps an orbit point p to the bits of the strong generators s whose
+    Schreier generator at (p, s) is known to lie in the group of the deeper
+    levels.  A rebuilt orbit keeps ``inverses`` and ``checked`` only when
+    every transversal element the level had comes out unchanged."""
 
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "bits", "transversal", "inverses", "checked")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
+        self.bits: list[int] = []
         self.transversal = {point: Permutation.identity(degree)}
         self.inverses: dict[int, tuple[int, ...]] = {}
+        self.checked: dict[int, int] = {}
 
     def inverse(self, p: int) -> tuple[int, ...]:
         """The images of ``transversal[p]``'s inverse, computed once."""
@@ -210,6 +220,7 @@ class PermGroup:
         self.degree = int(degree)
         self._identity = tuple(range(self.degree))
         self._levels: list[_Level] = []
+        self._serial = 0
         self.generators: list[Permutation] = []
         for g in generators:
             if not isinstance(g, Permutation):
@@ -227,20 +238,39 @@ class PermGroup:
             out.extend(lvl.gens)
         return out
 
+    def _strong_at(self, level: int) -> list[tuple[int, Permutation]]:
+        # (bit, generator) for each of _gens_at(level), in the same order.
+        return [pair for lvl in self._levels[level:] for pair in zip(lvl.bits, lvl.gens)]
+
     def _rebuild_orbit(self, level: int) -> None:
+        """Rebuild the level's orbit and transversal breadth-first.  Each tree
+        edge (p, s) is recorded as checked: t_p * s is t_{s(p)} by
+        construction.  The cached inverses and the other checked pairs stay
+        when every point the orbit had keeps its transversal element, and
+        are dropped otherwise."""
         lvl = self._levels[level]
-        gens = self._gens_at(level)
-        lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
-        lvl.inverses = {}
+        strong = self._strong_at(level)
+        old = lvl.transversal
+        transversal = {lvl.point: old[lvl.point]}
+        tree: dict[int, int] = {}
         queue = deque([lvl.point])
         while queue:
             p = queue.popleft()
-            t_p = lvl.transversal[p]
-            for s in gens:
+            t_p = transversal[p]
+            for bit, s in strong:
                 q = s(p)
-                if q not in lvl.transversal:
-                    lvl.transversal[q] = t_p * s
+                if q not in transversal:
+                    transversal[q] = t_p * s
+                    tree[p] = tree.get(p, 0) | bit
                     queue.append(q)
+        lvl.transversal = transversal
+        if all(transversal[p].images == t.images for p, t in old.items()):
+            checked = lvl.checked
+            for p, bits in tree.items():
+                checked[p] = checked.get(p, 0) | bits
+        else:
+            lvl.checked = tree
+            lvl.inverses = {}
 
     def _strip(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Sift a permutation's images through the chain from level
@@ -282,29 +312,51 @@ class PermGroup:
         return True
 
     def _add_strong(self, residue: Permutation, at: int) -> None:
-        """Make residue a strong generator at level ``at``, opening it if new."""
+        """Make residue a strong generator at level ``at``, opening it if new,
+        with the next serial's bit."""
         if at == len(self._levels):
             moved = next(i for i, j in enumerate(residue.images) if i != j)
             self._levels.append(_Level(moved, self.degree))
-        self._levels[at].gens.append(residue)
+        lvl = self._levels[at]
+        lvl.gens.append(residue)
+        lvl.bits.append(1 << self._serial)
+        self._serial += 1
 
     def _schreier_residue(self, level: int) -> tuple[Permutation, int] | None:
         """The first Schreier generator of the level whose residue through
         the deeper chain is not the identity, as (residue, level it stuck
         at); None when the level is complete.  A generator is the identity
         exactly when t_p * s equals the transversal element of s(p), which
-        is tested before any inverse is looked up."""
+        is tested before any inverse is looked up.
+
+        Pairs (p, s) in ``checked`` are skipped, and each pair found to be a
+        member is added to it.  A skipped pair would pass here again: the
+        deeper levels are complete whenever this runs (``_extend`` completes
+        them first), the group they generate only grows, and its Schreier
+        generator is unchanged while t_p and t_{s(p)} are.  So the scan
+        returns the same residue as a scan of every pair."""
         lvl = self._levels[level]
-        transversal = lvl.transversal
-        gens = [s.images for s in self._gens_at(level)]
-        for (p, t_p), s in itertools.product(transversal.items(), gens):
-            t_ps = tuple(map(s.__getitem__, t_p.images))
-            q = s[p]
-            if t_ps == transversal[q].images:
+        transversal, checked = lvl.transversal, lvl.checked
+        strong = [(bit, s.images) for bit, s in self._strong_at(level)]
+        every = sum(bit for bit, _ in strong)
+        for p, t_p in transversal.items():
+            done = checked.get(p, 0)
+            if done == every:
                 continue
-            residue, at = self._strip(tuple(map(lvl.inverse(q).__getitem__, t_ps)), level + 1)
-            if residue != self._identity:
-                return Permutation._unchecked(residue), at
+            t = t_p.images
+            for bit, s in strong:
+                if done & bit:
+                    continue
+                t_ps = tuple(map(s.__getitem__, t))
+                q = s[p]
+                if t_ps != transversal[q].images:
+                    residue, at = self._strip(tuple(map(lvl.inverse(q).__getitem__, t_ps)),
+                                              level + 1)
+                    if residue != self._identity:
+                        checked[p] = done
+                        return Permutation._unchecked(residue), at
+                done |= bit
+            checked[p] = done
         return None
 
     # -- queries -----------------------------------------------------------

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
-                  automorphism_group, build_m_cayley, cyclic_2pdr)
-from test_chain_pin import search_corpus
+                  automorphism_group, automorphisms, build_m_cayley, cyclic_2pdr)
+from test_chain_pin import generator_corpus, search_corpus
 
 
 def test_cycle_parse_format_roundtrip():
@@ -326,9 +326,9 @@ def check_chain(name: str, group: PermGroup, rng: random.Random) -> int:
 
 def test_chain_invariants_behind_the_inverse_cache():
     """Sifts read each transversal element's inverse from a per-level cache
-    that a rebuilt orbit must clear: membership stays exact, and every
-    cached inverse matches its transversal element, also after ``_extend``
-    grows level 0's orbit."""
+    that a rebuilt orbit keeps only while the transversal elements it had
+    are unchanged: membership stays exact, and every cached inverse matches
+    its transversal element, also after ``_extend`` grows level 0's orbit."""
     rng = random.Random(13)
     checked = grown = 0
     for name, group in chain_invariant_groups():
@@ -348,3 +348,62 @@ def test_chain_invariants_behind_the_inverse_cache():
         checked += check_chain(name + " extended", group, rng)
         grown += 1
     assert checked > 0 and grown > 0, (checked, grown)
+
+
+def test_each_schreier_generator_sifted_once(monkeypatch):
+    """A level sifts each (point, strong generator) pair's Schreier generator
+    at most once while its transversal stands, so the chains of K16 and
+    10 x C7 from their search generators take a pinned number of Schreier
+    sifts (``_strip`` from below the first level).  Sifting every pair again
+    after each repair took 10,094 and 20,265."""
+    cases = {"K16": Digraph(16, [(u, v) for u in range(16) for v in range(16) if u != v]),
+             "10xC7": Digraph(70, [(7 * c + i, 7 * c + (i + 1) % 7)
+                                   for c in range(10) for i in range(7)])}
+    searches = {name: automorphisms(d) for name, d in cases.items()}
+    strip = PermGroup._strip
+    sifts = 0
+
+    def counted(self, images, start=0):
+        nonlocal sifts
+        sifts += start > 0
+        return strip(self, images, start)
+
+    monkeypatch.setattr(PermGroup, "_strip", counted)
+    counts = {}
+    for name, search in searches.items():
+        sifts = 0
+        assert PermGroup(search.degree, search.generators).order == search.order, name
+        counts[name] = sifts
+    assert counts == {"K16": 2359, "10xC7": 3990}
+
+
+def test_rebuilt_orbit_keeps_only_records_that_still_hold(monkeypatch):
+    """After every orbit rebuild in the chain pin's generator corpus, each
+    pair a level records as checked has a Schreier generator that sifts to
+    the identity through the deeper levels, and each cached inverse undoes
+    its transversal element.  The corpus includes rebuilds that change a
+    transversal element the level already had, after which both records
+    must be dropped."""
+    rebuild = PermGroup._rebuild_orbit
+    rebuilds = changed = 0
+
+    def checked_rebuild(self, level):
+        nonlocal rebuilds, changed
+        lvl = self._levels[level]
+        before = {p: t.images for p, t in lvl.transversal.items()}
+        rebuild(self, level)
+        rebuilds += 1
+        changed += any(lvl.transversal[p].images != images for p, images in before.items())
+        identity = tuple(range(self.degree))
+        for p, inv in lvl.inverses.items():
+            assert tuple(inv[i] for i in lvl.transversal[p].images) == identity, p
+        for p, done in lvl.checked.items():
+            t_p = lvl.transversal[p]
+            for bit, s in self._strong_at(level):
+                if done & bit:
+                    schreier = t_p * s * lvl.transversal[s(p)].inverse()
+                    assert self._strip(schreier.images, level + 1)[0] == identity, (p, s)
+
+    monkeypatch.setattr(PermGroup, "_rebuild_orbit", checked_rebuild)
+    generator_corpus()
+    assert rebuilds > changed > 0, (rebuilds, changed)
