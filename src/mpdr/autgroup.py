@@ -17,8 +17,9 @@ reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 So :func:`automorphisms` reads the order and the generators off the search
 and builds no stabilizer chain; :func:`automorphism_order`,
 ``verify.is_pdr``, ``verify.stabilizer_criterion_check`` and the CLI's
-``verify`` and ``aut`` read their answers from it, and :func:`is_rigid`
-stops at the first automorphism found.  A chain is built only on the first
+``verify`` and ``aut`` read their answers from it, and
+:func:`first_automorphism` (so :func:`is_rigid`) stops at the first
+automorphism found.  A chain is built only on the first
 read of ``AutSearchResult.group``: by :func:`automorphism_search` (and so
 :func:`automorphism_group`), once, from the generator list, with its order
 checked against the search's; the brute-force oracle builds its own.
@@ -125,10 +126,17 @@ def automorphism_order(digraph: Digraph, *, ignore_colors: bool = False) -> int:
     return automorphisms(digraph, ignore_colors=ignore_colors).order
 
 
+def first_automorphism(digraph: Digraph) -> tuple[int, ...] | None:
+    """The first automorphism (respecting colors) the search finds, as its
+    tuple of images, or None when the group is trivial: the search never
+    yields the identity, and it stops at the first one."""
+    images = next(_search(digraph, False).run(), None)
+    return None if images is None else tuple(images)
+
+
 def is_rigid(digraph: Digraph) -> bool:
-    """True iff the only automorphism (respecting colors) is the identity;
-    the search stops at the first other one it finds."""
-    return next(_search(digraph, False).run(), None) is None
+    """True iff the only automorphism (respecting colors) is the identity."""
+    return first_automorphism(digraph) is None
 
 
 def check_vertex_count(n: int, *, brute_force: bool = False) -> None:

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_count
@@ -30,12 +31,16 @@ from .groups import CLOSURE_CAP, FiniteGroup
 from .perms import Permutation, group_json
 from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
                      scan_valency2, translate_relation, trivial_aut_3regular_search)
-from .verify import is_pdr
+from .verify import check_pdr_input, is_pdr
 
 
-def parse_group_text(text: str) -> FiniteGroup:
+def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> FiniteGroup:
     """Parse the group file format: ``cyclic <n>``, or ``perm <degree>``
-    followed by one generator per line in cycle notation."""
+    followed by one generator per line in cycle notation.  ``check``, when
+    given, is called once with the group's order, for ``cyclic <n>`` before
+    the table is built, so a caller's cap refuses an oversized group unbuilt
+    (an order above ``CLOSURE_CAP`` is refused by ``FiniteGroup.cyclic``
+    first, without a call); for a permutation group, after its closure."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -50,6 +55,8 @@ def parse_group_text(text: str) -> FiniteGroup:
             raise FormatError("unexpected lines after 'cyclic <n>'")
         if n < 1:
             raise FormatError("cyclic order must be at least 1")
+        if check is not None and n <= CLOSURE_CAP:
+            check(n)
         return FiniteGroup.cyclic(n)
     if head[0] == "perm" and len(head) == 2:
         try:
@@ -60,9 +67,12 @@ def parse_group_text(text: str) -> FiniteGroup:
         if not gens:
             raise FormatError("perm group file needs at least one generator line")
         try:
-            return FiniteGroup.from_permutations(degree, gens)
+            group = FiniteGroup.from_permutations(degree, gens)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
+        if check is not None:
+            check(group.order)
+        return group
     raise FormatError(f"group file must start with 'cyclic <n>' or 'perm <degree>', "
                       f"got {lines[0]!r}")
 
@@ -95,8 +105,20 @@ def _load_group(path: str, inputs: dict) -> FiniteGroup:
     return parse_group_text(_read(path, "group", inputs))
 
 
-def _load_spec(path: str, inputs: dict) -> ConnectionSpec:
-    return ConnectionSpec.from_json(_read(path, "spec", inputs))
+def _load_group_and_spec(args, inputs: dict,
+                         check: Callable[[ConnectionSpec, int], None]
+                         ) -> tuple[FiniteGroup, ConnectionSpec]:
+    """The --group and --spec files, parsed in that order.  The spec is read
+    once the group's order is known, and ``check(spec, order)`` then runs
+    before a ``cyclic <n>`` group's table is built."""
+    specs = []
+
+    def load_spec_and_check(order: int) -> None:
+        specs.append(ConnectionSpec.from_json(_read(args.spec, "spec", inputs)))
+        check(specs[0], order)
+
+    group = parse_group_text(_read(args.group, "group", inputs), load_spec_and_check)
+    return group, specs[0]
 
 
 def _load_digraph_args(args, inputs: dict, *,
@@ -112,9 +134,8 @@ def _load_digraph_args(args, inputs: dict, *,
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
-    group = _load_group(args.group, inputs)
-    spec = _load_spec(args.spec, inputs)
-    check(spec.m * group.order)
+    group, spec = _load_group_and_spec(
+        args, inputs, lambda spec, order: check(spec.m * order))
     x = build_m_cayley(group, spec)
     labels = [x.vertex_label(v) for v in range(x.digraph.n)]
     return x.digraph, labels
@@ -175,8 +196,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     inputs: dict = {}
-    group = _load_group(args.group, inputs)
-    spec = _load_spec(args.spec, inputs)
+    group, spec = _load_group_and_spec(args, inputs, check_pdr_input)
     report = is_pdr(group, spec, color_blind=not args.parts_as_colors)
     doc = _envelope(inputs)
     doc["report"] = report.to_json_dict()

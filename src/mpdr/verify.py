@@ -69,9 +69,7 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
     the verdict is negative and the digraph is regular, the report carries
     a witness generator lying outside the translation group.
     """
-    if not spec.is_partite():
-        raise PreconditionError("connection spec has a nonempty diagonal entry")
-    check_vertex_count(spec.m * group.order)
+    check_pdr_input(spec, group.order)
     x = build_m_cayley(group, spec)
     aut = automorphisms(x.digraph, ignore_colors=color_blind)
     if aut.order % group.order:
@@ -99,6 +97,15 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
         elapsed=aut.elapsed,
         color_blind=color_blind,
     )
+
+
+def check_pdr_input(spec: ConnectionSpec, group_order: int) -> None:
+    """Refuse what :func:`is_pdr` refuses before building anything: a spec
+    with a nonempty diagonal entry, then more vertices than the search's
+    cap."""
+    if not spec.is_partite():
+        raise PreconditionError("connection spec has a nonempty diagonal entry")
+    check_vertex_count(spec.m * group_order)
 
 
 @dataclass

@@ -139,6 +139,12 @@ def test_construct_two_gen_from_group_file(capsys, files):
     assert out.exists()
     doc = json.loads(out.read_text())
     assert doc["m"] == 3 and doc["n"] == 6
+    # a permutation group file is checked against the spec after its closure
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["verify", "--group", str(files["s3"]), "--spec", str(out)])
+    assert code == 0 and doc["report"]["vertex_count"] == 18
+    code, doc = run_json(capsys, ["aut", "--group", str(files["s3"]), "--spec", str(out)])
+    assert code == 0 and doc["aut"]["order"] == "6"
 
 
 def test_construct_drr_extend(capsys, files):
@@ -376,6 +382,28 @@ def test_oversized_digraph_refused_before_build(capsys, monkeypatch, files,
     assert captured.out == ""
     assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
     assert cap in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "aut"])
+def test_oversized_cyclic_group_refused_before_build(capsys, monkeypatch, files, command):
+    """cyclic 5000 with a 2-part spec is 10,000 vertices: refused from the
+    group's header, before its 5000 x 5000 table is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the group table was built")
+
+    monkeypatch.setattr("mpdr.groups.FiniteGroup.cyclic", unbuilt)
+    group = files["tmp"] / "z5000.grp"
+    group.write_text("cyclic 5000\n")
+    spec = files["tmp"] / "c5000.spec"
+    spec.write_text(json.dumps({"m": 2, "n": 5000,
+                                "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]}]}))
+    start = time.perf_counter()
+    assert main([command, "--group", str(group), "--spec", str(spec)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: automorphism search capped at 2048 vertices, "
+                            "got 10000\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

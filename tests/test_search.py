@@ -9,8 +9,9 @@ import pytest
 
 from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphism_group,
                   cayley_digraph, exhaust_2partite_valency3, exhaust_z2_m3_valency3,
-                  find_valency2_drr, search, translate_relation,
+                  find_valency2_drr, is_rigid, search, translate_relation,
                   trivial_aut_3regular_search)
+from mpdr.autgroup import first_automorphism
 
 
 def test_exhaust_z3():
@@ -189,6 +190,74 @@ def test_rigid_caps_and_modes():
     for m, mode in ((0, "exhaustive"), (-1, "exhaustive"), (0, "randomized")):
         with pytest.raises(PreconditionError, match="at least 1 vertex"):
             trivial_aut_3regular_search(m, mode=mode)
+
+
+def _arcs(rows):
+    return [(u, w) for u, row in enumerate(rows) for w in row]
+
+
+def _plain_scan(m, candidates):
+    """The reference scan: every candidate built and searched, in order."""
+    tested = 0
+    for rows in candidates:
+        tested += 1
+        if is_rigid(Digraph(m, _arcs(rows))):
+            return _arcs(rows), tested
+    return None, tested
+
+
+@pytest.mark.parametrize("m, oriented, mode, seed", [
+    *((m, oriented, "exhaustive", 0) for m in range(1, 8) for oriented in (False, True)),
+    *((m, oriented, "randomized", seed) for m in (4, 5, 6, 7, 8, 12)
+      for oriented in (False, True) for seed in (0, 1, 2)),
+])
+def test_rigid_reuse_matches_plain_scan(m, oriented, mode, seed):
+    """Deciding candidates by the automorphisms already found changes no
+    verdict, witness or count."""
+    if mode == "exhaustive":
+        candidates = search._branch_rows(m, oriented)
+    else:
+        candidates = search._sampled_rows(m, oriented, 200, seed)
+    arcs, tested = _plain_scan(m, candidates)
+    verdict = trivial_aut_3regular_search(m, mode, budget=200, oriented=oriented,
+                                          seed=seed)
+    assert verdict.nodes_explored == tested
+    assert verdict.witness == (None if arcs is None
+                               else {"n": m, "arcs": [list(a) for a in arcs]})
+    expected = ("witness-found" if arcs is not None
+                else "none-exists" if mode == "exhaustive" else "inconclusive")
+    assert verdict.verdict == expected
+
+
+def test_rigid_m7_oriented_searches_pinned(monkeypatch):
+    """The 2,640 labelled regular tournaments on 7 vertices fall into 3
+    isomorphism classes; reusing the automorphisms found leaves 260 of them
+    to search."""
+    searched = []
+
+    def counted(digraph):
+        searched.append(digraph)
+        return first_automorphism(digraph)
+
+    monkeypatch.setattr(search, "first_automorphism", counted)
+    verdict = trivial_aut_3regular_search(7, oriented=True)
+    assert (verdict.verdict, verdict.nodes_explored) == ("none-exists", 2640)
+    assert len(searched) == 260
+
+
+def test_rigid_index_hit_alone_never_decides():
+    """A rigid candidate that shares a non-rigid one's index key (the same
+    row of vertex 0 and the same row at sigma(0)) is still searched."""
+    candidates = list(search._branch_rows(6, False))
+    first = candidates[0]
+    sigma = first_automorphism(Digraph(6, _arcs(first)))
+    assert sigma is not None
+    rigid = next(rows for rows in candidates
+                 if rows[0] == first[0] and rows[sigma[0]] == first[sigma[0]]
+                 and is_rigid(Digraph(6, _arcs(rows))))
+    # sigma maps vertex 0's row onto the row at sigma(0), so its key is hit
+    assert search._image(sigma, rigid[0]) == rigid[sigma[0]]
+    assert search._first_rigid(6, [first, rigid]) == (_arcs(rigid), 2)
 
 
 def test_verdict_json_shape():
