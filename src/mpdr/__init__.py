@@ -1,8 +1,7 @@
 """m-partite Cayley digraphs and digraphical representation checking."""
 
-from .autgroup import (AutSearchResult, automorphism_group, automorphism_order,
-                       automorphism_search, automorphisms, brute_force_automorphisms,
-                       is_rigid)
+from .autgroup import (AutSearchResult, automorphism_search, automorphisms,
+                       brute_force_automorphisms, is_rigid)
 from .cayley import (ConnectionSpec, MCayleyDigraph, build_m_cayley, cayley_digraph,
                      part_swap_automorphism)
 from .constructions import (audit_valency, cyclic_2pdr, cyclic_mpdr, drr_to_2pdr,
@@ -24,11 +23,10 @@ __all__ = [
     "FiniteGroup", "FormatError", "MCayleyDigraph", "MpdrError", "PermGroup",
     "Permutation", "PreconditionError", "SearchExhaustedError", "SearchVerdict",
     "StabilizerCriterionReport", "VerificationReport", "audit_valency",
-    "automorphism_group", "automorphism_order", "automorphism_search", "automorphisms",
-    "brute_force_automorphisms", "build_m_cayley", "cayley_digraph", "cyclic_2pdr",
-    "cyclic_mpdr", "drr_to_2pdr", "exhaust_2partite_valency3", "exhaust_z2_m3_valency3",
-    "find_valency2_drr", "find_valency2_orr", "is_pdr", "is_rigid", "is_semiregular",
-    "part_swap_automorphism", "stabilizer_criterion_check", "translate_relation",
-    "trivial_aut_3regular_search", "two_generated_mpdr",
-    "__version__",
+    "automorphism_search", "automorphisms", "brute_force_automorphisms", "build_m_cayley",
+    "cayley_digraph", "cyclic_2pdr", "cyclic_mpdr", "drr_to_2pdr",
+    "exhaust_2partite_valency3", "exhaust_z2_m3_valency3", "find_valency2_drr",
+    "find_valency2_orr", "is_pdr", "is_rigid", "is_semiregular", "part_swap_automorphism",
+    "stabilizer_criterion_check", "translate_relation", "trivial_aut_3regular_search",
+    "two_generated_mpdr", "__version__",
 ]

@@ -1,4 +1,7 @@
-"""Exact automorphism groups of colored digraphs.
+"""Exact automorphism groups of digraphs.
+
+A digraph's vertex colors are data: when it has them, an automorphism must
+keep every color class, and no flag switches that off.
 
 The solver refines vertex partitions to equitability using per-cell
 (out-arc, in-arc, digon-edge) count profiles, then runs individualize-and-
@@ -15,13 +18,12 @@ of the path vertex's orbit under the automorphisms found at that level and
 below, which fix the path vertices above it (McKay & Piperno 2014, as nauty
 reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 So :func:`automorphisms` reads the order and the generators off the search
-and builds no stabilizer chain; :func:`automorphism_order`,
-``verify.is_pdr``, ``verify.stabilizer_criterion_check`` and the CLI's
-``verify`` and ``aut`` read their answers from it, and
-:func:`first_automorphism` (so :func:`is_rigid`) stops at the first
-automorphism found.  A chain is built only on the first
-read of ``AutSearchResult.group``: by :func:`automorphism_search` (and so
-:func:`automorphism_group`), once, from the generator list, with its order
+and builds no stabilizer chain; ``verify.is_pdr``,
+``verify.stabilizer_criterion_check``, the searches and the CLI's ``verify``
+and ``aut`` read their answers from it, and :func:`first_automorphism` (so
+:func:`is_rigid`) stops at the first automorphism found.  A chain is built
+only on the first read of ``AutSearchResult.group``: by
+:func:`automorphism_search`, once, from the generator list, with its order
 checked against the search's; the brute-force oracle builds its own.
 
 A partition is one ``lab`` array holding the cells side by side, with an
@@ -87,55 +89,38 @@ class AutSearchResult:
         return group
 
 
-def automorphism_group(digraph: Digraph, *, ignore_colors: bool = False) -> PermGroup:
-    """Generators and exact order of the automorphism group.
-
-    Vertex colors, when the digraph carries them, constrain automorphisms
-    to map each color class onto itself; ``ignore_colors=True`` drops that
-    constraint (the right mode whenever part-fixing is a conclusion rather
-    than an assumption).
-    """
-    return automorphism_search(digraph, ignore_colors=ignore_colors).group
-
-
-def automorphism_search(digraph: Digraph, *,
-                        ignore_colors: bool = False) -> AutSearchResult:
+def automorphism_search(digraph: Digraph) -> AutSearchResult:
     """Like :func:`automorphisms`, with the stabilizer chain (``group``)
-    built before it returns; ``elapsed`` covers both."""
+    built before it returns; ``elapsed`` covers both.  No caller in the
+    package uses it: the benchmark (``perfbench/``) calls it and wraps it
+    by name."""
     start = time.perf_counter()
-    result = automorphisms(digraph, ignore_colors=ignore_colors)
+    result = automorphisms(digraph)
     result.group  # builds the chain, which checks the search's order
     result.elapsed = time.perf_counter() - start
     return result
 
 
-def automorphisms(digraph: Digraph, *, ignore_colors: bool = False) -> AutSearchResult:
+def automorphisms(digraph: Digraph) -> AutSearchResult:
     """|Aut|, its generators and the search statistics, read off the search:
-    no stabilizer chain is built unless ``group`` is read.  Colors as in
-    :func:`automorphism_group`."""
+    no stabilizer chain is built unless ``group`` is read."""
     start = time.perf_counter()
-    search = _search(digraph, ignore_colors)
+    search = _search(digraph)
     generators = [Permutation(images) for images in search.run()]
     return AutSearchResult(digraph.n, search.order, generators, search.nodes,
                            time.perf_counter() - start)
 
 
-def automorphism_order(digraph: Digraph, *, ignore_colors: bool = False) -> int:
-    """The order of the automorphism group, read off the search: no
-    stabilizer chain is built.  Colors as in :func:`automorphism_group`."""
-    return automorphisms(digraph, ignore_colors=ignore_colors).order
-
-
 def first_automorphism(digraph: Digraph) -> tuple[int, ...] | None:
-    """The first automorphism (respecting colors) the search finds, as its
-    tuple of images, or None when the group is trivial: the search never
-    yields the identity, and it stops at the first one."""
-    images = next(_search(digraph, False).run(), None)
+    """The first automorphism the search finds, as its tuple of images, or
+    None when the group is trivial: the search never yields the identity,
+    and it stops at the first one."""
+    images = next(_search(digraph).run(), None)
     return None if images is None else tuple(images)
 
 
 def is_rigid(digraph: Digraph) -> bool:
-    """True iff the only automorphism (respecting colors) is the identity."""
+    """True iff the only automorphism is the identity."""
     return first_automorphism(digraph) is None
 
 
@@ -150,9 +135,9 @@ def check_vertex_count(n: int, *, brute_force: bool = False) -> None:
             f"automorphism search capped at {VERTEX_CAP} vertices, got {n}")
 
 
-def _search(digraph: Digraph, ignore_colors: bool) -> _AutSearch:
+def _search(digraph: Digraph) -> _AutSearch:
     check_vertex_count(digraph.n)
-    return _AutSearch(digraph, ignore_colors=ignore_colors)
+    return _AutSearch(digraph)
 
 
 def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
@@ -183,11 +168,11 @@ def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
 class _AutSearch:
     """One individualize-and-refine run over a fixed digraph."""
 
-    def __init__(self, digraph: Digraph, ignore_colors: bool):
+    def __init__(self, digraph: Digraph):
         self.g = digraph
         n = self.n = digraph.n
         self.out_bits = digraph.out_bits
-        if ignore_colors or digraph.vertex_color is None:
+        if digraph.vertex_color is None:
             initial = [list(range(n))]
         else:
             classes: dict[int, list[int]] = {}
@@ -390,8 +375,9 @@ class _AutSearch:
         images = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
             images[a] = b
-        # colors hold by construction (cells refine color classes positionally)
-        if not self.g.is_automorphism(images, respect_colors=False):
+        # on a colored digraph this checks colors too, which hold by construction
+        # (cells refine the color classes position by position)
+        if not self.g.is_automorphism(images):
             return None
         # never a member of the group found so far: it fixes the path above its
         # level and maps the path vertex there outside that vertex's orbit

@@ -2,10 +2,12 @@
 
 Vertices are encoded part-major: element g in part i is vertex ``i*n + g``
 (n the group order), so parts occupy contiguous index ranges and the part
-coloring is just ``v // n``.  Arcs follow the left-multiplication rule: for
-t in the (i, j) connection set, every g contributes the arc
+of a vertex is just ``v // n``.  Arcs follow the left-multiplication rule:
+for t in the (i, j) connection set, every g contributes the arc
 ``g_i -> (t*g)_j``.  Right translations ``x_i -> (x*g)_i`` are then always
 automorphisms, which is the structural fact the whole package leans on.
+The built digraph has no vertex colors: whether its automorphisms fix the
+parts is for the search to find.
 """
 
 from __future__ import annotations
@@ -108,15 +110,13 @@ class MCayleyDigraph:
         self.group = group
         self.spec = spec
         n = group.order
-        m = spec.m
         arcs = []
         for i, j, elems in spec.entries:
             for t in elems:
                 row = group.row(t)
                 for g in range(n):
                     arcs.append((i * n + g, j * n + row[g]))
-        colors = [v // n for v in range(m * n)]
-        self.digraph = Digraph(m * n, arcs, vertex_color=colors, allow_loops=True)
+        self.digraph = Digraph(spec.m * n, arcs, allow_loops=True)
 
     @property
     def n(self) -> int:
@@ -125,6 +125,13 @@ class MCayleyDigraph:
     @property
     def m(self) -> int:
         return self.spec.m
+
+    def part_colored(self) -> Digraph:
+        """The same arcs, each vertex colored by its part index: its
+        automorphisms are the part-preserving ones."""
+        g = self.digraph
+        return Digraph(g.n, g.arcs(), vertex_color=[v // self.n for v in range(g.n)],
+                       allow_loops=True)
 
     def vertex(self, element: int, part: int) -> int:
         return part * self.n + element

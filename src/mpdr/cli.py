@@ -125,7 +125,9 @@ def _load_digraph_args(args, inputs: dict, *,
                        searched: bool = False) -> tuple[Digraph, list[str] | None]:
     """The digraph of --digraph, or of --group and --spec.  When it is
     ``searched``, a digraph over more vertices than the search (with
-    --oracle, the brute force) takes is refused before it is built."""
+    --oracle, the brute force) takes is refused before it is built, and an
+    m-Cayley digraph carries its parts as vertex colors, so ``aut`` counts
+    the part-preserving automorphisms."""
     def check(n: int) -> None:
         if searched:
             check_vertex_count(n, brute_force=args.oracle)
@@ -138,13 +140,14 @@ def _load_digraph_args(args, inputs: dict, *,
         args, inputs, lambda spec, order: check(spec.m * order))
     x = build_m_cayley(group, spec)
     labels = [x.vertex_label(v) for v in range(x.digraph.n)]
-    return x.digraph, labels
+    return x.part_colored() if searched else x.digraph, labels
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_construct(args) -> int:
+    _refuse_unread(args, args.family)
     if args.family == "cyclic-2pdr":
         if args.n is None:
             raise FormatError("cyclic-2pdr needs --n")
@@ -232,24 +235,36 @@ def _cmd_export(args) -> int:
     return 0
 
 
-# The search flags each problem (and rigid3 mode) reads, and every search
-# flag's default: a flag a problem does not read is refused, not dropped.
-_SEARCH_READS = {
+# The flags each search problem (and rigid3 mode) and each construct family
+# reads, and the default of every flag either command takes: a flag that is
+# not read is refused, not dropped.
+_READS = {
     "exhaust-negative": {"n", "group"},
     "rigid3 exhaustive mode": {"m", "mode", "oriented", "jobs"},
     "rigid3 randomized mode": {"m", "mode", "oriented", "budget", "seed"},
     "drr2": {"group"},
+    "cyclic-2pdr": {"n"},
+    "cyclic-mpdr": {"n", "m"},
+    "two-gen-mpdr": {"group", "m", "x", "y"},
+    "drr-extend": {"group", "r"},
 }
-_SEARCH_DEFAULTS = {"m": None, "mode": "exhaustive", "budget": 1000, "oriented": False,
-                    "jobs": 1, "seed": 0, "n": None, "group": None}
+_DEFAULTS = {"m": None, "mode": "exhaustive", "budget": 1000, "oriented": False,
+             "jobs": 1, "seed": 0, "n": None, "group": None, "x": None, "y": None,
+             "r": None}
+
+
+def _refuse_unread(args, what: str) -> None:
+    """Refuse every flag ``what`` does not read that was given a value other
+    than its default (a flag the command lacks is at its default)."""
+    unread = [f"--{name}" for name, default in _DEFAULTS.items()
+              if name not in _READS[what] and getattr(args, name, default) != default]
+    if unread:
+        raise FormatError(f"{what} does not take {', '.join(unread)}")
 
 
 def _cmd_search(args) -> int:
-    what = f"rigid3 {args.mode} mode" if args.problem == "rigid3" else args.problem
-    unread = [f"--{name}" for name, default in _SEARCH_DEFAULTS.items()
-              if name not in _SEARCH_READS[what] and getattr(args, name) != default]
-    if unread:
-        raise FormatError(f"{what} does not take {', '.join(unread)}")
+    _refuse_unread(args, f"rigid3 {args.mode} mode" if args.problem == "rigid3"
+                   else args.problem)
     inputs: dict = {}
     if args.problem == "exhaust-negative":
         if args.group and args.n is not None:
@@ -292,7 +307,9 @@ def _cmd_search(args) -> int:
     else:  # drr2
         if not args.group:
             raise FormatError("drr2 needs --group")
-        group = _load_group(args.group, inputs)
+        # each Cayley digraph searched has |G| vertices: refuse an order
+        # above the search's cap before a cyclic group's table is built
+        group = parse_group_text(_read(args.group, "group", inputs), check_vertex_count)
         start = time.perf_counter()
         pair, tested = scan_valency2(group, inverse_free=False)
         verdict = SearchVerdict(
@@ -365,13 +382,13 @@ def _parser() -> argparse.ArgumentParser:
                    choices=["rigid3", "drr2", "exhaust-negative"])
     p.add_argument("--m", type=_at_least(1), help="vertex count for rigid3")
     p.add_argument("--mode", choices=["exhaustive", "randomized"],
-                   default=_SEARCH_DEFAULTS["mode"])
-    p.add_argument("--budget", type=_at_least(0), default=_SEARCH_DEFAULTS["budget"])
+                   default=_DEFAULTS["mode"])
+    p.add_argument("--budget", type=_at_least(0), default=_DEFAULTS["budget"])
     p.add_argument("--oriented", action="store_true",
                    help="rigid3 variant: forbid digons")
-    p.add_argument("--jobs", type=_at_least(1), default=_SEARCH_DEFAULTS["jobs"],
+    p.add_argument("--jobs", type=_at_least(1), default=_DEFAULTS["jobs"],
                    help="rigid3 exhaustive mode runs one sequential scan: must be 1")
-    p.add_argument("--seed", type=int, default=_SEARCH_DEFAULTS["seed"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.add_argument("--n", type=_at_least(1), help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")
     p.add_argument("--out")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import warnings
 
-from .autgroup import automorphism_order
+from .autgroup import automorphisms
 from .cayley import ConnectionSpec, cayley_digraph
 from .errors import PreconditionError, SearchExhaustedError
 from .groups import FiniteGroup
@@ -133,7 +133,7 @@ def drr_to_2pdr(group: FiniteGroup, connection: tuple[int, ...] | list[int]) -> 
         raise PreconditionError(
             f"need |R| < |G|/2, got |R|={len(r_set)} for |G|={group.order}")
     base = cayley_digraph(group, r_set)
-    base_aut = automorphism_order(base)
+    base_aut = automorphisms(base).order
     if base_aut != group.order:
         raise PreconditionError(
             f"Cay(G, R) is not a digraphical regular representation: "

@@ -3,7 +3,7 @@
 Adjacency is stored both as sorted out/in lists and as per-vertex bitsets
 (Python ints), which the automorphism search uses for O(1) arc queries.
 Digraphs are immutable after construction; vertex colors, when present,
-are part of the value and are respected by the automorphism machinery.
+are part of the value, and an automorphism must keep each color class.
 """
 
 from __future__ import annotations
@@ -126,12 +126,12 @@ class Digraph:
 
     # -- automorphism support --------------------------------------------------
 
-    def is_automorphism(self, images: Sequence[int],
-                        respect_colors: bool = True) -> bool:
-        """Check that a vertex bijection preserves arcs (and colors)."""
+    def is_automorphism(self, images: Sequence[int]) -> bool:
+        """Check that a vertex bijection preserves arcs, and colors when the
+        digraph has them."""
         if len(images) != self.n or set(images) != set(range(self.n)):
             return False
-        if respect_colors and self.vertex_color is not None:
+        if self.vertex_color is not None:
             col = self.vertex_color
             if any(col[images[v]] != col[v] for v in range(self.n)):
                 return False

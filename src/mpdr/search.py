@@ -19,8 +19,9 @@ over the sweep indices, joined once per move generator.  Its roots are
 least points, so each class's root is its first spec in sweep order; that
 spec is searched, and every spec takes its orbit's order.
 
-The sweeps and the valency-2 scan ask only for an order, so they call
-``automorphism_order`` and build no stabilizer chain.
+The sweeps and the valency-2 scan ask only for an order, so they read
+``automorphisms(...).order`` and build no stabilizer chain.  The m-Cayley
+digraphs they search carry no colors, so every order is color-blind.
 
 The rigid-digraph search is one sequential scan of its candidates (in
 lexicographic order of their rows when exhaustive), so its verdict, witness
@@ -40,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .autgroup import automorphism_order, first_automorphism
+from .autgroup import automorphisms, first_automorphism
 from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
@@ -220,8 +221,7 @@ def exhaust_z2_m3_valency3() -> list[tuple[ConnectionSpec, int]]:
 def _aut_orders(group: FiniteGroup, specs) -> list[tuple[ConnectionSpec, int]]:
     """Each spec with the color-blind automorphism order of its m-Cayley
     digraph over the group, built and searched one spec at a time."""
-    return [(spec, automorphism_order(build_m_cayley(group, spec).digraph,
-                                      ignore_colors=True))
+    return [(spec, automorphisms(build_m_cayley(group, spec).digraph).order)
             for spec in specs]
 
 
@@ -250,7 +250,7 @@ def scan_valency2(group: FiniteGroup, *,
         if not group.generates({a, b}):
             continue
         tested += 1
-        if automorphism_order(cayley_digraph(group, (a, b))) == n:
+        if automorphisms(cayley_digraph(group, (a, b))).order == n:
             return (a, b), tested
     return None, tested
 

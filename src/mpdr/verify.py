@@ -2,8 +2,9 @@
 
 The authoritative automorphism run for a verdict is color-blind: using the
 part coloring to compute Aut of a digraph whose whole point is that Aut
-fixes the parts would assume the conclusion.  The part-respecting run is
-available as a cross-check.
+fixes the parts would assume the conclusion.  The m-Cayley digraph is built
+uncolored, so the verdict searches it as built; the part-respecting
+cross-check (``color_blind=False``) searches ``MCayleyDigraph.part_colored``.
 
 Verdicts and the criterion check read |Aut| and its generators off the
 search (``autgroup.automorphisms``) and build no stabilizer chain.  The
@@ -71,7 +72,7 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
     """
     check_pdr_input(spec, group.order)
     x = build_m_cayley(group, spec)
-    aut = automorphisms(x.digraph, ignore_colors=color_blind)
+    aut = automorphisms(x.digraph if color_blind else x.part_colored())
     if aut.order % group.order:
         # R(G) is a subgroup of Aut, so Lagrange's theorem fails only on a
         # miscounting search
@@ -148,7 +149,7 @@ def stabilizer_criterion_check(
             raise ValueError(f"chosen vertex {u} is not in part {i}")
     g = x.digraph
     if aut is None:
-        aut = automorphisms(g, ignore_colors=True)
+        aut = automorphisms(g)
 
     connected = g.is_connected("weak")
     parts_fixed = [generators_fix_setwise(aut.generators, part) for part in x.parts()]

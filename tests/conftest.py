@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from mpdr import FiniteGroup
+from mpdr import Digraph, FiniteGroup
 
 # Permutation realizations used across the suite.  Indices of the two
 # designated generators are always 1 and 2 (BFS discovery order).
@@ -12,6 +12,11 @@ Q8_GENS = [[2, 3, 1, 0, 7, 6, 4, 5],                  # right mult. by i and j o
            [4, 5, 6, 7, 1, 0, 3, 2]]                  # (1,-1,i,-i,j,-j,k,-k)
 Z2Z4_GENS = [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]  # order-2 and order-4 parts
 A5_GENS = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]          # 5-cycle, 3-cycle
+
+
+def uncolored(digraph: Digraph) -> Digraph:
+    """The same arcs without vertex colors: every automorphism counts."""
+    return Digraph(digraph.n, digraph.arcs(), allow_loops=True)
 
 
 @pytest.fixture(autouse=True)

@@ -12,14 +12,13 @@ import pytest
 
 from mpdr import autgroup, perms, verify
 from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, PermGroup,
-                  VerificationReport, automorphism_group, automorphism_order,
-                  automorphism_search, automorphisms, brute_force_automorphisms,
-                  build_m_cayley, cyclic_2pdr, cyclic_mpdr, exhaust_z2_m3_valency3,
-                  is_pdr, is_rigid, part_swap_automorphism, stabilizer_criterion_check,
-                  two_generated_mpdr)
+                  VerificationReport, automorphism_search, automorphisms,
+                  brute_force_automorphisms, build_m_cayley, cyclic_2pdr, cyclic_mpdr,
+                  exhaust_z2_m3_valency3, is_pdr, is_rigid, part_swap_automorphism,
+                  stabilizer_criterion_check, two_generated_mpdr)
 from mpdr.search import _branch_rows
 
-from conftest import A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS
+from conftest import A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS, uncolored
 from test_chain_pin import search_corpus
 
 # (order, nodes_explored, generator cycle strings) of the search core on fixed
@@ -34,16 +33,16 @@ def random_digraph(rng, n, p, colored=False):
 
 
 def test_triangle_rotations():
-    assert automorphism_group(Digraph(3, [(0, 1), (1, 2), (2, 0)])).order == 3
+    assert automorphisms(Digraph(3, [(0, 1), (1, 2), (2, 0)])).group.order == 3
 
 
 def test_complete_digraph():
     k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
-    assert automorphism_group(k4).order == 24
+    assert automorphisms(k4).group.order == 24
 
 
 def test_directed_path_rigid():
-    assert automorphism_group(Digraph(3, [(0, 1), (1, 2)])).order == 1
+    assert automorphisms(Digraph(3, [(0, 1), (1, 2)])).group.order == 1
 
 
 def test_brute_force_examples():
@@ -65,11 +64,11 @@ def test_colors_respected():
     # directed 4-cycle: aut order 4 plain, 2 with an alternating 2-coloring,
     # 1 with a singling color
     cyc = [(i, (i + 1) % 4) for i in range(4)]
-    assert automorphism_group(Digraph(4, cyc)).order == 4
-    assert automorphism_group(Digraph(4, cyc, vertex_color=[0, 1, 0, 1])).order == 2
-    assert automorphism_group(Digraph(4, cyc, vertex_color=[0, 1, 1, 1])).order == 1
-    assert automorphism_group(Digraph(4, cyc, vertex_color=[0, 1, 1, 1]),
-                              ignore_colors=True).order == 4
+    assert automorphisms(Digraph(4, cyc)).group.order == 4
+    assert automorphisms(Digraph(4, cyc, vertex_color=[0, 1, 0, 1])).group.order == 2
+    singled = Digraph(4, cyc, vertex_color=[0, 1, 1, 1])
+    assert automorphisms(singled).group.order == 1
+    assert automorphisms(uncolored(singled)).group.order == 4
 
 
 def test_oracle_agreement_randomized():
@@ -78,21 +77,21 @@ def test_oracle_agreement_randomized():
         n = rng.randint(1, 7)
         g = random_digraph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]),
                            colored=rng.random() < 0.3)
-        assert automorphism_group(g).order == brute_force_automorphisms(g).order
+        assert automorphisms(g).group.order == brute_force_automorphisms(g).order
 
 
 def test_soundness_generators_preserve():
     rng = random.Random(22)
     for _ in range(60):
         g = random_digraph(rng, rng.randint(2, 9), 0.4, colored=rng.random() < 0.3)
-        aut = automorphism_group(g)
+        aut = automorphisms(g).group
         for gen in aut.generators:
             assert g.is_automorphism(gen.images)
 
 
 def test_loops_handled():
     g = Digraph(3, [(0, 0), (0, 1), (1, 2), (2, 1)], allow_loops=True)
-    assert automorphism_group(g).order == brute_force_automorphisms(g).order
+    assert automorphisms(g).group.order == brute_force_automorphisms(g).order
 
 
 def reference_refine(digraph: Digraph, cells, splitters):
@@ -147,7 +146,7 @@ def test_refinement_matches_definition():
             arcs = [(sigma[u], sigma[(u + t) % n]) for u in range(n) for t in shifts]
         colors = [rng.randint(0, 1) for _ in range(n)] if i % 2 else None
         digraph = Digraph(n, arcs, vertex_color=colors, allow_loops=True)
-        search = autgroup._AutSearch(digraph, ignore_colors=False)
+        search = autgroup._AutSearch(digraph)
         initial = partition_cells(search.root)
         root = search._refine(search.root, [(f, f + k, None)
                                             for f, k in zip(search.root[3], search.root[4])])
@@ -168,7 +167,7 @@ def test_cell_order_pinned():
     is dropped as a splitter (plain Hopcroft): that reorders the cells."""
     spec = ConnectionSpec.from_sets(2, 8, {(0, 1): (0, 1, 2), (1, 0): (0, 6, 7)})
     digraph = build_m_cayley(FiniteGroup.cyclic(8), spec).digraph
-    result = automorphism_search(digraph, ignore_colors=True)
+    result = automorphism_search(digraph)
     assert (result.group.order, result.nodes_explored) == (32, 8)
     assert [g.cycle_string() for g in result.group.generators] == [
         "(1 7)(2 6)(3 5)(8 10)(11 15)(12 14)",
@@ -176,17 +175,17 @@ def test_cell_order_pinned():
         "(0 8 6 14 4 12 2 10)(1 9 7 15 5 13 3 11)"]
 
 
-def pinned_search_cases() -> dict[str, tuple[Digraph, bool]]:
-    """Name -> (digraph, ignore_colors) for the search-core pins."""
-    cases = {"K7": (Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v]),
-                    False),
-             "3xC7": (Digraph(21, [(7 * c + i, 7 * c + (i + 1) % 7)
-                                   for c in range(3) for i in range(7)]), False),
-             "cyclic_2pdr(20)": (build_m_cayley(FiniteGroup.cyclic(20),
-                                                cyclic_2pdr(20)).digraph, False)}
+def pinned_search_cases() -> dict[str, Digraph]:
+    """Name -> digraph for the search-core pins."""
+    cases = {"K7": Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v]),
+             "3xC7": Digraph(21, [(7 * c + i, 7 * c + (i + 1) % 7)
+                                  for c in range(3) for i in range(7)]),
+             # the parts as colors
+             "cyclic_2pdr(20)": build_m_cayley(FiniteGroup.cyclic(20),
+                                               cyclic_2pdr(20)).part_colored()}
     # T[0,1] = 1 + T[1,0]: a part swap, so Aut is twice R(Z_30) color-blind
     swap = ConnectionSpec.from_sets(2, 30, {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)})
-    cases["Z30-part-swap"] = (build_m_cayley(FiniteGroup.cyclic(30), swap).digraph, True)
+    cases["Z30-part-swap"] = build_m_cayley(FiniteGroup.cyclic(30), swap).digraph
     for seed in range(20):
         rng = random.Random(seed)
         n = rng.randint(2, 12)
@@ -197,13 +196,12 @@ def pinned_search_cases() -> dict[str, tuple[Digraph, bool]]:
         else:
             g = random_digraph(rng, n, rng.choice([0.05, 0.1, 0.2]),
                                colored=seed % 4 == 0)
-        cases[f"random-{seed}"] = (g, False)
+        cases[f"random-{seed}"] = g
     return cases
 
 
 def pinned_search(name: str) -> dict:
-    digraph, ignore_colors = pinned_search_cases()[name]
-    result = automorphism_search(digraph, ignore_colors=ignore_colors)
+    result = automorphism_search(pinned_search_cases()[name])
     return {"order": str(result.group.order), "nodes": result.nodes_explored,
             "generators": [g.cycle_string() for g in result.group.generators]}
 
@@ -212,8 +210,7 @@ def pinned_search(name: str) -> dict:
 def test_search_core_pinned(name):
     golden = SEARCH_GOLDEN["search"][name]
     assert pinned_search(name) == golden
-    digraph, ignore_colors = pinned_search_cases()[name]
-    assert automorphism_order(digraph, ignore_colors=ignore_colors) == int(golden["order"])
+    assert automorphisms(pinned_search_cases()[name]).order == int(golden["order"])
 
 
 def test_search_leaves_recursion_limit_alone(monkeypatch):
@@ -281,11 +278,11 @@ def test_relabeling_invariance_2000_vertices():
     label order, so how many generators are needed depends on the labels."""
     digraph = build_m_cayley(FiniteGroup.cyclic(1000), cyclic_2pdr(1000)).digraph
     assert digraph.n == 2000
-    group = automorphism_group(digraph)
+    group = automorphisms(digraph).group
     assert group.order == 1000
     for seed in range(3):
         sigma = random.Random(seed).sample(range(digraph.n), digraph.n)
-        image = automorphism_group(relabeled(digraph, sigma))
+        image = automorphisms(relabeled(digraph, sigma)).group
         assert image.order == 1000
         for g in group.generators:
             conjugate = [0] * digraph.n
@@ -297,19 +294,19 @@ def test_relabeling_invariance_2000_vertices():
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 300])
 def test_directed_cycle_order(n):
     cycle = [(i, (i + 1) % n) for i in range(n)]
-    assert automorphism_group(Digraph(n, cycle)).order == n
-    assert automorphism_order(Digraph(n, cycle)) == n
+    assert automorphisms(Digraph(n, cycle)).group.order == n
+    assert automorphisms(Digraph(n, cycle)).order == n
     # a loop on every vertex changes nothing
     looped = Digraph(n, cycle + [(i, i) for i in range(n)], allow_loops=True)
-    assert automorphism_group(looped).order == n
+    assert automorphisms(looped).group.order == n
 
 
 @pytest.mark.parametrize("q", [7, 11, 19, 23])
 def test_paley_tournament_order(q):
     squares = {x * x % q for x in range(1, q)}
     paley = Digraph(q, [(u, v) for u in range(q) for v in range(q) if (v - u) % q in squares])
-    assert automorphism_group(paley).order == q * (q - 1) // 2
-    assert automorphism_order(paley) == q * (q - 1) // 2
+    assert automorphisms(paley).group.order == q * (q - 1) // 2
+    assert automorphisms(paley).order == q * (q - 1) // 2
 
 
 # connected and rigid: the triangle's rotations must fix 0, its only vertex
@@ -322,14 +319,14 @@ RIGID_LOOPED = (3, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 0)])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
 def test_disjoint_rigid_copies_order(k):
     for n, arcs in (RIGID, RIGID_LOOPED):
-        assert automorphism_group(Digraph(n, arcs, allow_loops=True)).order == 1
-        assert automorphism_group(disjoint_copies(n, arcs, k)).order == math.factorial(k)
+        assert automorphisms(Digraph(n, arcs, allow_loops=True)).group.order == 1
+        assert automorphisms(disjoint_copies(n, arcs, k)).group.order == math.factorial(k)
     # colors split the copies into classes that are permuted independently
     colors = [c % 2 for c in range(k)]
     colored = disjoint_copies(*RIGID, k, colors)
     expected = math.factorial(colors.count(0)) * math.factorial(colors.count(1))
-    assert automorphism_group(colored).order == expected
-    assert automorphism_group(colored, ignore_colors=True).order == math.factorial(k)
+    assert automorphisms(colored).group.order == expected
+    assert automorphisms(uncolored(colored)).group.order == math.factorial(k)
 
 
 def test_vf2_automorphism_counts():
@@ -358,7 +355,7 @@ def test_vf2_automorphism_counts():
             sets[(0, 1)] = tuple({t, *sets[(0, 1)]})
             sets[(1, 0)] = tuple({-t % group.order, *sets[(1, 0)]})
             digraph = build_m_cayley(group, ConnectionSpec.from_sets(m, group.order,
-                                                                     sets)).digraph
+                                                                     sets)).part_colored()
         else:
             n = rng.randint(2, 24)
             p = rng.choice([0.1, 0.2, 0.3])
@@ -372,14 +369,11 @@ def test_vf2_automorphism_counts():
         assert digraph.undirected_edges()
         for colored in (False, True):
             expected = vf2_count(digraph, colored)
-            assert automorphism_group(digraph, ignore_colors=not colored).order == expected
+            searched = digraph if colored else uncolored(digraph)
+            assert automorphisms(searched).group.order == expected
 
 
 # -- order off the search, rigidity --------------------------------------------
-
-
-def uncolored(digraph: Digraph) -> Digraph:
-    return Digraph(digraph.n, digraph.arcs(), allow_loops=True)
 
 
 def test_automorphism_order_matches_brute_force():
@@ -387,8 +381,8 @@ def test_automorphism_order_matches_brute_force():
     for _ in range(120):
         g = random_digraph(rng, rng.randint(1, 8), rng.choice([0.1, 0.25, 0.5, 0.75]),
                            colored=True)
-        assert automorphism_order(g) == brute_force_automorphisms(g).order
-        assert (automorphism_order(g, ignore_colors=True)
+        assert automorphisms(g).order == brute_force_automorphisms(g).order
+        assert (automorphisms(uncolored(g)).order
                 == brute_force_automorphisms(uncolored(g)).order)
 
 
@@ -397,12 +391,12 @@ def test_automorphism_order_closed_forms():
     # test_paley_tournament_order
     for n in (1, 2, 5, 8, 12):
         complete = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-        assert automorphism_order(complete) == automorphism_group(complete).order \
+        assert automorphisms(complete).order == automorphisms(complete).group.order \
             == math.factorial(n)
     for k in (1, 2, 3, 5):
         cycles = Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
                                  for c in range(k) for i in range(7)])
-        assert automorphism_order(cycles) == automorphism_group(cycles).order \
+        assert automorphisms(cycles).order == automorphisms(cycles).group.order \
             == 7 ** k * math.factorial(k)
 
 
@@ -443,14 +437,13 @@ def test_is_rigid_stops_at_first_automorphism(monkeypatch):
     k7 = Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v])
     assert not is_rigid(k7)
     assert len(found) == 1
-    assert automorphism_order(k7) == 5040
+    assert automorphisms(k7).order == 5040
     assert len(found) == 1 + 6  # one per path level: target cells of 7 down to 2
 
 
-def chain_cross_check_cases() -> dict[str, tuple[Digraph, bool]]:
+def chain_cross_check_cases() -> dict[str, Digraph]:
     """The searches of test_chain_pin.py and of search_golden.json."""
-    cases = {f"chain-pin-{name}": (digraph, ignore_colors)
-             for name, digraph, ignore_colors in search_corpus()}
+    cases = {f"chain-pin-{name}": digraph for name, digraph in search_corpus()}
     cases.update(pinned_search_cases())
     return cases
 
@@ -458,11 +451,11 @@ def chain_cross_check_cases() -> dict[str, tuple[Digraph, bool]]:
 def test_search_result_matches_chain():
     """The order and generators read off the search are the chain's: every
     automorphism kept lies outside the group generated by those before it."""
-    for name, (digraph, ignore_colors) in chain_cross_check_cases().items():
-        r = automorphisms(digraph, ignore_colors=ignore_colors)
+    for name, digraph in chain_cross_check_cases().items():
+        r = automorphisms(digraph)
         assert r.order == r.group.order, name
         assert r.generators == r.group.generators, name
-        chained = automorphism_search(digraph, ignore_colors=ignore_colors)
+        chained = automorphism_search(digraph)
         assert (r.order, r.generators, r.nodes_explored) == (
             chained.order, chained.generators, chained.nodes_explored), name
 
@@ -487,7 +480,7 @@ def chain_report(group: FiniteGroup, spec: ConnectionSpec,
     ``automorphism_search``, the way is_pdr computed it before it read the
     search's result."""
     x = build_m_cayley(group, spec)
-    result = automorphism_search(x.digraph, ignore_colors=color_blind)
+    result = automorphism_search(x.digraph if color_blind else x.part_colored())
     aut = result.group
     valency = x.digraph.regular_valency()
     witness = None
@@ -581,7 +574,7 @@ def test_is_pdr_z3_full_sets_has_witness():
     x = build_m_cayley(z3, spec)
     witness = rep.extra_automorphism_witness
     assert witness is not None
-    assert x.digraph.is_automorphism(witness.images, respect_colors=False)
+    assert x.digraph.is_automorphism(witness.images)
     assert not x.right_regular_group().contains(witness)
 
 
@@ -725,15 +718,15 @@ def test_criterion_stabilizers_match_chain(monkeypatch, s3):
     verdict on the vertex's out-neighborhood."""
     searched = []
 
-    def recording(digraph, **kwargs):
-        searched.append(automorphisms(digraph, **kwargs))
+    def recording(digraph):
+        searched.append(automorphisms(digraph))
         return searched[-1]
 
     monkeypatch.setattr(verify, "automorphisms", recording)
     cases = 0
     for group, spec in _criterion_corpus(s3):
         x = build_m_cayley(group, spec)
-        chain = automorphism_search(x.digraph, ignore_colors=True).group
+        chain = automorphism_search(x.digraph).group
         searched.clear()
         rep = stabilizer_criterion_check(x)
         assert rep.aut_order == chain.order

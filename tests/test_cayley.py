@@ -48,7 +48,10 @@ def test_build_z5():
     assert x.digraph.n == 10
     assert x.digraph.arc_count == 30
     assert x.digraph.is_k_regular(3)
-    assert x.digraph.vertex_color == tuple([0] * 5 + [1] * 5)
+    assert x.digraph.vertex_color is None
+    colored = x.part_colored()
+    assert colored.vertex_color == (0,) * 5 + (1,) * 5
+    assert colored.arcs() == x.digraph.arcs()
 
 
 def test_build_z2_three_parts_forced():
@@ -138,8 +141,7 @@ def test_right_translations_are_automorphisms_exhaustive(s3, q8):
     for group, spec in specs:
         x = build_m_cayley(group, spec)
         for g in range(group.order):
-            assert x.digraph.is_automorphism(x.right_translation(g).images,
-                                             respect_colors=False)
+            assert x.digraph.is_automorphism(x.right_translation(g).images)
 
 
 def test_left_multiplication_convention_matters(s3):
@@ -180,7 +182,7 @@ def test_part_swap_all_of_g():
     spec = ConnectionSpec.from_sets(2, 3, {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)})
     x = build_m_cayley(z3, spec)
     tau = part_swap_automorphism(x, 0)
-    assert x.digraph.is_automorphism(tau.images, respect_colors=False)
+    assert x.digraph.is_automorphism(tau.images)
     assert {tau(v) for v in x.part(0)} == set(x.part(1))
     assert not PermGroup(6, [tau]).fixes_setwise(x.part(0))
 

@@ -17,18 +17,18 @@ ELEMENTS_CAP = 5040
 CORPUS_SHA256 = "e5f6841d944be08bc16a283136e0be02fa85ba1ba3e50ccd8ce73bd78e8501e2"
 
 
-def search_corpus() -> list[tuple[str, Digraph, bool]]:
-    """(name, digraph, ignore_colors) for the automorphism searches."""
+def search_corpus() -> list[tuple[str, Digraph]]:
+    """(name, digraph) for the automorphism searches."""
     cases = []
     for n in range(1, 9):
         cases.append((f"K{n}", Digraph(n, [(u, v) for u in range(n) for v in range(n)
-                                           if u != v]), False))
+                                           if u != v])))
     for k in (1, 2, 3):
         cases.append((f"{k}xC7", Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
-                                                 for c in range(k) for i in range(7)]), False))
+                                                 for c in range(k) for i in range(7)])))
     for n in (5, 7, 30):
         x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
-        cases.append((f"cyclic_2pdr({n})", x.digraph, True))
+        cases.append((f"cyclic_2pdr({n})", x.digraph))
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(2, 12)
@@ -41,7 +41,7 @@ def search_corpus() -> list[tuple[str, Digraph, bool]]:
             arcs = [(u, v) for u in range(n) for v in range(n)
                     if u != v and rng.random() < p]
         colors = [rng.randint(0, 1) for _ in range(n)] if seed % 3 == 0 else None
-        cases.append((f"random-{seed}", Digraph(n, arcs, vertex_color=colors), False))
+        cases.append((f"random-{seed}", Digraph(n, arcs, vertex_color=colors)))
     return cases
 
 
@@ -83,8 +83,8 @@ def chain_record(group: PermGroup) -> dict:
 
 def corpus_records() -> list:
     records = []
-    for name, digraph, ignore_colors in search_corpus():
-        result = automorphism_search(digraph, ignore_colors=ignore_colors)
+    for name, digraph in search_corpus():
+        result = automorphism_search(digraph)
         records.append([name, result.nodes_explored, chain_record(result.group)])
     for name, group in generator_corpus():
         records.append([name, chain_record(group)])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import (Digraph, FiniteGroup, FormatError, automorphism_group, cyclic_2pdr,
+from mpdr import (Digraph, FiniteGroup, FormatError, automorphisms, cyclic_2pdr,
                   search)
 from mpdr.cli import main, parse_group_text
 
@@ -247,6 +247,30 @@ def test_aut_from_group_and_spec(capsys, files):
     assert doc["aut"]["order"] == "5"
 
 
+@pytest.mark.parametrize("argv, code, order, nodes", [
+    (["aut"], 0, "24", 10),
+    (["verify"], 1, "48", 13),
+    (["verify", "--parts-as-colors"], 1, "24", 10),
+])
+def test_readme_color_example(capsys, files, argv, code, order, nodes):
+    """README's example: over Z6 with T01 = {1, 2, 4} and T10 = {0, 1, 3},
+    the part swap doubles the part-preserving group of order 24, which
+    ``aut --group --spec`` and ``verify --parts-as-colors`` report."""
+    z6 = files["tmp"] / "z6.grp"
+    z6.write_text("cyclic 6\n")
+    spec = files["tmp"] / "z6.spec"
+    spec.write_text(json.dumps({"m": 2, "n": 6,
+                                "sets": [{"i": 0, "j": 1, "elements": [1, 2, 4]},
+                                         {"i": 1, "j": 0, "elements": [0, 1, 3]}]}))
+    got, doc = run_json(capsys, [argv[0], "--group", str(z6), "--spec", str(spec),
+                                 *argv[1:]])
+    if argv[0] == "aut":
+        result = (doc["aut"]["order"], doc["nodes_explored"])
+    else:
+        result = (doc["report"]["aut_order"], doc["report"]["search_nodes"])
+    assert (got, *result) == (code, order, nodes)
+
+
 def test_export_dot_digon_rendering(capsys, files):
     z2 = files["tmp"] / "z2.grp"
     z2.write_text("cyclic 2\n")
@@ -288,7 +312,7 @@ def test_search_rigid3_readme_example(capsys):
     assert doc["verdict"] == "witness-found"
     g = Digraph(12, [tuple(a) for a in doc["witness"]["arcs"]])
     assert g.is_k_regular(3) and g.is_oriented()
-    assert automorphism_group(g).order == 1
+    assert automorphisms(g).group.order == 1
 
 
 def test_search_rigid3_randomized_too_few_vertices(capsys):
@@ -384,10 +408,11 @@ def test_oversized_digraph_refused_before_build(capsys, monkeypatch, files,
     assert cap in captured.err
 
 
-@pytest.mark.parametrize("command", ["verify", "aut"])
+@pytest.mark.parametrize("command", ["verify", "aut", "drr2"])
 def test_oversized_cyclic_group_refused_before_build(capsys, monkeypatch, files, command):
-    """cyclic 5000 with a 2-part spec is 10,000 vertices: refused from the
-    group's header, before its 5000 x 5000 table is built."""
+    """cyclic 5000 with a 2-part spec is 10,000 vertices, and each Cayley
+    digraph drr2 searches has 5000: refused from the group's header, before
+    its 5000 x 5000 table is built."""
     def unbuilt(*args, **kwargs):
         raise AssertionError("the group table was built")
 
@@ -397,13 +422,17 @@ def test_oversized_cyclic_group_refused_before_build(capsys, monkeypatch, files,
     spec = files["tmp"] / "c5000.spec"
     spec.write_text(json.dumps({"m": 2, "n": 5000,
                                 "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]}]}))
+    if command == "drr2":
+        argv, vertices = ["search", "--problem", "drr2", "--group", str(group)], 5000
+    else:
+        argv, vertices = [command, "--group", str(group), "--spec", str(spec)], 10000
     start = time.perf_counter()
-    assert main([command, "--group", str(group), "--spec", str(spec)]) == 2
+    assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("refused: automorphism search capped at 2048 vertices, "
-                            "got 10000\n")
+                            f"got {vertices}\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -458,6 +487,24 @@ def test_search_rejects_unread_flags(capsys, files, argv, unread):
     assert captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
     assert all(flag in captured.err for flag in unread)
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["cyclic-2pdr", "--n", "5", "--m", "3", "--x", "1", "--r", "1,2"],
+     ["--m", "--x", "--r"]),
+    (["cyclic-mpdr", "--n", "3", "--m", "3", "--group", "z5"], ["--group"]),
+    (["two-gen-mpdr", "--group", "s3", "--m", "3", "--n", "6", "--r", "1"],
+     ["--n", "--r"]),
+    (["drr-extend", "--group", "z5", "--r", "1", "--m", "2", "--y", "2"],
+     ["--m", "--y"]),
+])
+def test_construct_rejects_unread_flags(capsys, files, argv, unread):
+    """A flag the family does not read is named, not dropped."""
+    argv = [str(files[a]) if a in ("z5", "s3") else a for a in argv]
+    assert main(["construct", "--family", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {argv[0]} does not take {', '.join(unread)}\n"
 
 
 @pytest.mark.parametrize("argv", [

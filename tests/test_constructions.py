@@ -1,7 +1,7 @@
 import pytest
 
 from mpdr import (FiniteGroup, PreconditionError, audit_valency,
-                  automorphism_group, build_m_cayley, cayley_digraph, cyclic_2pdr,
+                  automorphisms, build_m_cayley, cayley_digraph, cyclic_2pdr,
                   cyclic_mpdr, drr_to_2pdr, find_valency2_orr, is_pdr,
                   two_generated_mpdr)
 
@@ -189,12 +189,12 @@ def test_find_valency2_orr_result_is_orr():
     digraph = cayley_digraph(z7, pair)
     assert digraph.is_oriented()
     assert z7.generates({a, b})
-    assert automorphism_group(digraph).order == 7
+    assert automorphisms(digraph).group.order == 7
 
 
 def test_drr_to_2pdr_z7():
     z7 = FiniteGroup.cyclic(7)
-    assert automorphism_group(cayley_digraph(z7, (1, 3))).order == 7  # DRR check
+    assert automorphisms(cayley_digraph(z7, (1, 3))).group.order == 7  # DRR check
     spec = drr_to_2pdr(z7, (1, 3))
     assert spec.set_for(0, 1) == (0, 1, 3)
     ell = set(spec.set_for(1, 0)) - {0}

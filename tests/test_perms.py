@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
-                  automorphism_group, automorphisms, build_m_cayley, cyclic_2pdr)
+                  automorphisms, build_m_cayley, cyclic_2pdr)
 from test_chain_pin import generator_corpus, search_corpus
 
 
@@ -247,15 +247,15 @@ def sympy_cases() -> list[tuple[str, PermGroup]]:
                 Permutation(head + list(range(b, n)))]
         cases.append((f"shift-{seed}", PermGroup(n, gens)))
     for n in range(2, 13):
-        cases.append((f"K{n}", automorphism_group(
-            Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v]))))
+        cases.append((f"K{n}", automorphisms(
+            Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])).group))
     for k in range(1, 5):
-        cases.append((f"{k}xC7", automorphism_group(
+        cases.append((f"{k}xC7", automorphisms(
             Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
-                            for c in range(k) for i in range(7)]))))
+                            for c in range(k) for i in range(7)])).group))
     for n in (5, 8, 13, 21):
         x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
-        cases.append((f"cyclic_2pdr({n})", automorphism_group(x.digraph, ignore_colors=True)))
+        cases.append((f"cyclic_2pdr({n})", automorphisms(x.digraph).group))
     return cases
 
 
@@ -273,8 +273,7 @@ def test_chain_order_matches_sympy():
 def chain_invariant_groups() -> list[tuple[str, PermGroup]]:
     """The chain pin's search corpus and 50 seeded groups, each generated
     by random permutations of a random subset of the points."""
-    cases = [(name, automorphism_group(digraph, ignore_colors=ignore_colors))
-             for name, digraph, ignore_colors in search_corpus()]
+    cases = [(name, automorphisms(digraph).group) for name, digraph in search_corpus()]
     for seed in range(50):
         rng = random.Random(7000 + seed)
         n = rng.randint(2, 12)
