@@ -17,7 +17,11 @@ group's ``mul``):
 The orbits are the classes of one union-find (``perms.OrbitPartition``)
 over the sweep indices, joined once per move generator.  Its roots are
 least points, so each class's root is its first spec in sweep order; that
-spec is searched, and every spec takes its orbit's order.
+spec is searched, and every spec takes its orbit's order.  The specs are
+built by ``ConnectionSpec._canonical`` on the 3-subsets that
+``itertools.combinations`` yields, which are already ascending, distinct and
+in range, so no spec is re-validated and every spec shares its two subset
+tuples with the others.
 
 The sweeps and the valency-2 scan ask only for an order, so they read
 ``automorphisms(...).order`` and build no stabilizer chain.  The m-Cayley
@@ -31,7 +35,10 @@ scan keeps every one found.  A candidate that a kept automorphism preserves
 is decided non-rigid by checking its rows, with no digraph built and no
 search run (McKay, *Isomorph-free exhaustive generation*, 1998): the 2,640
 oriented candidates on 7 vertices, 3 isomorphism classes, take 260
-searches.
+searches.  The rows are checked on bitmasks: each kept automorphism carries
+1 << sigma(v) for every vertex v, each candidate the OR of 1 << w over each
+of its rows, and a row is preserved when the OR of its three image bits
+equals the mask of the row at its image vertex.
 """
 
 from __future__ import annotations
@@ -83,11 +90,15 @@ def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, 
     generators of the group, generators of its automorphism group, and the
     part swap) are the classes of one union-find over the sweep indices.
     Only each class's root, its first spec, is searched; each move is an
-    isomorphism of the built digraphs, so every spec gets its root's order."""
+    isomorphism of the built digraphs, so every spec gets its root's order.
+    The specs come from ``ConnectionSpec._canonical``: their entries
+    ((0, 1, T01), (1, 0, T10)) are sorted and each T is an ascending 3-subset
+    from ``itertools.combinations``, so no spec is re-checked and the C(n,3)
+    subset tuples are shared by every spec that holds them."""
     n = group.order
     check_exhaust_order(n)
     triples = list(itertools.combinations(range(n), 3))
-    specs = [ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
+    specs = [ConnectionSpec._canonical(2, n, ((0, 1, t01), (1, 0, t10)))
              for t01, t10 in itertools.product(triples, repeat=2)]
     first = _orbit_firsts(group, triples)
     reps = sorted(set(first))
@@ -306,37 +317,43 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
 
 def _first_rigid(m: int, candidates):
     """The arc list of the first candidate (a list of out-rows, one per
-    vertex, each an ascending tuple) whose digraph has trivial automorphism
+    vertex, each an ascending triple) whose digraph has trivial automorphism
     group, or None, and the number of candidates decided up to it.
 
-    Every automorphism a search finds is kept as its image tuple.  A kept
-    sigma preserves candidate D iff sigma(row_D(u)) = row_D(sigma(u)) for
-    every vertex u, and then D is decided non-rigid without a digraph or a
-    search; a rigid D is never preserved, as no kept sigma is the identity.
+    Every automorphism a search finds is kept as its image tuple sigma with
+    its single-bit masks bit[v] = 1 << sigma(v).  Each candidate D gets its
+    row masks once, masks[u] the OR of 1 << w over row_D(u).  A kept sigma
+    preserves D iff bit[a] | bit[b] | bit[c] = masks[sigma(u)] for every row
+    (a, b, c) = row_D(u), which is the set equality sigma(row_D(u)) =
+    row_D(sigma(u)); then D is decided non-rigid without a digraph or a
+    search.  A rigid D is never preserved, as no kept sigma is the identity.
     The test at u = 0 picks the kept sigma worth checking: per row r of
     vertex 0 seen, they are indexed by (sigma(0), sigma(r)), D looks up
     (x, row_D(x)) for every vertex x, and each hit is checked on every row."""
     tested = 0
-    found: list[tuple[int, ...]] = []
-    # per row of vertex 0 seen: (sigma(0), sigma(row)) -> the kept sigma
+    one = [1 << v for v in range(m)]
+    found: list[tuple[tuple[int, ...], list[int]]] = []
+    # per row of vertex 0 seen: (sigma(0), sigma(row)) -> the kept (sigma, bit)
     index: dict[tuple[int, ...], dict[tuple[int, tuple[int, ...]], list]] = {}
     for rows in candidates:
         tested += 1
         if rows[0] not in index:
             index[rows[0]] = {}
-            for sigma in found:
-                _file(index, rows[0], sigma)
+            for kept in found:
+                _file(index, rows[0], kept)
         keyed = index[rows[0]]
-        if any(_preserves(sigma, rows)
-               for x, row in enumerate(rows) for sigma in keyed.get((x, row), ())):
+        masks = [one[a] | one[b] | one[c] for a, b, c in rows]
+        if any(all(bit[a] | bit[b] | bit[c] == masks[s] for (a, b, c), s in zip(rows, sigma))
+               for x, row in enumerate(rows) for sigma, bit in keyed.get((x, row), ())):
             continue
         arcs = [(u, w) for u, row in enumerate(rows) for w in row]
         sigma = first_automorphism(Digraph(m, arcs))
         if sigma is None:
             return arcs, tested
-        found.append(sigma)
+        kept = (sigma, [one[s] for s in sigma])
+        found.append(kept)
         for row0 in index:
-            _file(index, row0, sigma)
+            _file(index, row0, kept)
     return None, tested
 
 
@@ -344,13 +361,11 @@ def _image(sigma: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(map(sigma.__getitem__, row)))
 
 
-def _file(index: dict, row0: tuple[int, ...], sigma: tuple[int, ...]) -> None:
-    """Index sigma for the candidates whose vertex 0 has row ``row0``."""
-    index[row0].setdefault((sigma[0], _image(sigma, row0)), []).append(sigma)
-
-
-def _preserves(sigma: tuple[int, ...], rows) -> bool:
-    return all(_image(sigma, row) == rows[sigma[u]] for u, row in enumerate(rows))
+def _file(index: dict, row0: tuple[int, ...], kept: tuple[tuple[int, ...], list[int]]) -> None:
+    """Index a kept (sigma, bit) for the candidates whose vertex 0 has row
+    ``row0``."""
+    sigma = kept[0]
+    index[row0].setdefault((sigma[0], _image(sigma, row0)), []).append(kept)
 
 
 def _row_targets(m: int, v: int, rows: list[tuple[int, ...]], indeg: list[int],

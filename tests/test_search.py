@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphisms,
                   find_valency2_drr, is_rigid, search, translate_relation,
                   trivial_aut_3regular_search)
 from mpdr.autgroup import first_automorphism
+from mpdr.cayley import ConnectionSpec
 
 
 def test_exhaust_z3():
@@ -20,6 +22,21 @@ def test_exhaust_z3():
     (spec, order), = recs
     assert spec.set_for(0, 1) == (0, 1, 2) and spec.set_for(1, 0) == (0, 1, 2)
     assert order > 3
+
+
+@pytest.mark.parametrize("name", ["Z8", "d4", "q8", "z2z4"])
+def test_sweep_specs_equal_validated(request, name):
+    """The sweep's specs, built without validation, equal the validated
+    ones field for field and hash alike."""
+    group = FiniteGroup.cyclic(8) if name == "Z8" else request.getfixturevalue(name)
+    triples = itertools.combinations(range(group.order), 3)
+    records = exhaust_2partite_valency3(group)
+    assert len(records) == 56 ** 2
+    for (spec, _), (t01, t10) in zip(records, itertools.product(triples, repeat=2)):
+        validated = ConnectionSpec.from_sets(2, group.order, {(0, 1): t01, (1, 0): t10})
+        assert spec == validated
+        assert hash(spec) == hash(validated)
+        assert spec.entries == validated.entries
 
 
 def test_exhaust_z4_all_fail_with_shift_property():
@@ -227,6 +244,40 @@ def test_rigid_reuse_matches_plain_scan(m, oriented, mode, seed):
     expected = ("witness-found" if arcs is not None
                 else "none-exists" if mode == "exhaustive" else "inconclusive")
     assert verdict.verdict == expected
+
+
+def _circulant(m, steps):
+    return [tuple(sorted((u + s) % m for s in steps)) for u in range(m)]
+
+
+@pytest.mark.parametrize("oriented", [False, True])
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_rigid_reuse_wide_masks(m, oriented, monkeypatch):
+    """Row masks past 63 bits decide exactly what the plain scan decides.
+    Randomized draws this large are rigid at once, so a second stream
+    makes the masks decide: a rotation found on one circulant also
+    preserves another, which is then not searched."""
+    arcs, tested = _plain_scan(m, search._sampled_rows(m, oriented, 20, 0))
+    verdict = trivial_aut_3regular_search(m, "randomized", budget=20, oriented=oriented,
+                                          seed=0)
+    assert verdict.nodes_explored == tested
+    assert verdict.witness == (None if arcs is None
+                               else {"n": m, "arcs": [list(a) for a in arcs]})
+    assert verdict.verdict == ("witness-found" if arcs is not None else "inconclusive")
+
+    candidates = [_circulant(m, (1, 2, 5)), _circulant(m, (1, 3, 7)),
+                  next(search._sampled_rows(m, oriented, 20, 0))]
+    searched = []
+
+    def counted(digraph):
+        searched.append(digraph)
+        return first_automorphism(digraph)
+
+    monkeypatch.setattr(search, "first_automorphism", counted)
+    expected = _plain_scan(m, candidates)
+    assert expected == (_arcs(candidates[2]), 3)
+    assert search._first_rigid(m, candidates) == expected
+    assert len(searched) == 2
 
 
 def test_rigid_m7_oriented_searches_pinned(monkeypatch):
