@@ -10,8 +10,8 @@ element the first time a sift needs them.  Each level records the (orbit
 point, strong generator) pairs whose Schreier generators it has verified,
 so each is sifted once while the level's transversal stands (the
 incremental Schreier-Sims of Seress, *Permutation Group Algorithms*, ch. 4).
-``OrbitPartition`` is the union-find shared by ``PermGroup.orbits``, the
-automorphism search and the 2-part sweep's spec orbits.
+``OrbitPartition`` is the union-find shared by ``PermGroup.orbits`` and the
+automorphism search.
 """
 
 from __future__ import annotations

@@ -14,14 +14,14 @@ group's ``mul``):
   (s(T01), s(T10));
 * swapping the parts, which gives (T10, T01).
 
-The orbits are the classes of one union-find (``perms.OrbitPartition``)
-over the sweep indices, joined once per move generator.  Its roots are
-least points, so each class's root is its first spec in sweep order; that
-spec is searched, and every spec takes its orbit's order.  The specs are
-built by ``ConnectionSpec._canonical`` on the 3-subsets that
-``itertools.combinations`` yields, which are already ascending, distinct and
-in range, so no spec is re-validated and every spec shares its two subset
-tuples with the others.
+The orbits are found in one traversal of the sweep indices in order: each
+index not yet reached starts a walk over the move generators, and every
+index the walk reaches is labelled with it, so each orbit is labelled with
+its first spec in sweep order.  That spec is searched, and every spec takes
+its orbit's order.  The specs are built by ``ConnectionSpec._canonical`` on
+the 3-subsets that ``itertools.combinations`` yields, which are already
+ascending, distinct and in range, so no spec is re-validated and every spec
+shares its two subset tuples with the others.
 
 The sweeps and the valency-2 scan ask only for an order, so they read
 ``automorphisms(...).order`` and build no stabilizer chain.  The m-Cayley
@@ -53,7 +53,6 @@ from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
-from .perms import OrbitPartition
 
 EXHAUST_ORDER_CAP = 8
 EXHAUSTIVE_RIGID_CAP = 7
@@ -88,9 +87,9 @@ def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, 
 
     The orbits under the moves of the module docstring (part relabelings by
     generators of the group, generators of its automorphism group, and the
-    part swap) are the classes of one union-find over the sweep indices.
-    Only each class's root, its first spec, is searched; each move is an
-    isomorphism of the built digraphs, so every spec gets its root's order.
+    part swap) are labelled by their first sweep index (``_orbit_firsts``).
+    Only each orbit's first spec is searched; each move is an isomorphism
+    of the built digraphs, so every spec gets its first spec's order.
     The specs come from ``ConnectionSpec._canonical``: their entries
     ((0, 1, T01), (1, 0, T10)) are sorted and each T is an ascending 3-subset
     from ``itertools.combinations``, so no spec is re-checked and the C(n,3)
@@ -116,20 +115,30 @@ def check_exhaust_order(n: int) -> None:
 
 def _orbit_firsts(group: FiniteGroup, triples: list[tuple[int, ...]]) -> list[int]:
     """For the spec (T01, T10) = (triples[i], triples[j]) at sweep index
-    k = i * len(triples) + j, the least sweep index in its orbit: the root
-    of k's class once one union-find has merged every move generator."""
+    k = i * len(triples) + j, the least sweep index in its orbit.  The
+    indices are scanned in order, and each one not yet reached starts a walk
+    over the move generators that labels its whole orbit with it."""
     c = len(triples)
     index = {t: k for k, t in enumerate(triples)}
 
     def on_triples(f):
         return [index[tuple(sorted(f[x] for x in t))] for t in triples]
 
-    orbits = OrbitPartition(c * c)
-    for f01, f10, swap in _spec_maps(group):
-        m01, m10 = on_triples(f01), on_triples(f10)
-        orbits.merge([m10[j] * c + m01[i] if swap else m01[i] * c + m10[j]
-                      for i in range(c) for j in range(c)])
-    return [orbits.find(k) for k in range(c * c)]
+    moves = [(on_triples(f01), on_triples(f10), swap) for f01, f10, swap in _spec_maps(group)]
+    first = [-1] * (c * c)
+    for k in range(c * c):
+        if first[k] >= 0:
+            continue
+        first[k] = k
+        stack = [k]
+        while stack:
+            i, j = divmod(stack.pop(), c)
+            for m01, m10, swap in moves:
+                y = m10[j] * c + m01[i] if swap else m01[i] * c + m10[j]
+                if first[y] < 0:
+                    first[y] = k
+                    stack.append(y)
+    return first
 
 
 def _spec_maps(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...], bool]]:
@@ -378,35 +387,53 @@ def _row_targets(m: int, v: int, rows: list[tuple[int, ...]], indeg: list[int],
 
 def _branch_rows(m: int, oriented: bool):
     """Every loopless 3-regular digraph on m vertices, digon-free when
-    ``oriented``, as its out-rows, in lexicographic order.  Vertex v's row is
-    drawn from its ``_row_targets``, and a prefix is cut once an in-degree
-    can no longer reach 3.  A vertex's deficit is at most 3, so that
-    deadline can bind only once three rows or fewer remain."""
+    ``oriented``, as its out-rows, in lexicographic order.  Vertex v's row
+    draws from its ``_row_targets``, and every prefix is checked before its
+    next row is drawn, at every level (the pruning half of orderly
+    generation: Read 1978; McKay 1998).  Vertex j still lacks 3 - indeg[j]
+    in-arcs, and only the rows v..m-1 other than its own can supply them,
+    less (when ``oriented``) the rows of the later vertices j already
+    points to.  A prefix in which some deficit exceeds that count has no
+    completion and is cut.  A target of row v whose deficit equals its
+    count is forced into row v, and the row is the forced targets plus each
+    combination of the others; a fixed set added to ascending 3-subsets
+    keeps their lexicographic order, so the candidates come out exactly as
+    an unpruned scan yields its complete ones.  A prefix that passes the
+    check at v = m-1 has exactly three deficits of 1, all forced, so every
+    complete prefix is 3-regular and is yielded unchecked."""
     rows: list[tuple[int, ...]] = []
     indeg = [0] * m
-
-    def feasible(next_v: int) -> bool:
-        rem = m - next_v
-        return all(d <= 3 and d + rem - (j >= next_v) >= 3 for j, d in enumerate(indeg))
 
     def extend(v: int):
         if v == m:
             yield list(rows)
             return
+        rem = m - v
+        slack = []
+        for j in range(m):
+            count = rem - (j >= v)
+            if oriented and j < v:
+                x, y, z = rows[j]
+                count -= (x >= v) + (y >= v) + (z >= v)
+            if indeg[j] + count < 3:
+                return
+            slack.append(indeg[j] + count - 3)
         allowed = _row_targets(m, v, rows, indeg, oriented)
-        near_end = m - (v + 1) <= 3
-        for combo in itertools.combinations(allowed, 3):
-            for j in combo:
+        forced = tuple(j for j in allowed if not slack[j])
+        if len(forced) > 3:
+            return
+        free = [j for j in allowed if slack[j]]
+        for combo in itertools.combinations(free, 3 - len(forced)):
+            row = tuple(sorted(forced + combo))
+            for j in row:
                 indeg[j] += 1
-            rows.append(combo)
-            if not near_end or feasible(v + 1):
-                yield from extend(v + 1)
+            rows.append(row)
+            yield from extend(v + 1)
             rows.pop()
-            for j in combo:
+            for j in row:
                 indeg[j] -= 1
 
-    if feasible(0):
-        yield from extend(0)
+    yield from extend(0)
 
 
 def _sampled_rows(m: int, oriented: bool, budget: int, seed: int):
