@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import __version__
 from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_count
-from .cayley import ConnectionSpec, build_m_cayley
+from .cayley import ConnectionSpec, MCayleyDigraph, build_m_cayley
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
 from .errors import CapExceededError, FormatError, MpdrError, PreconditionError
@@ -101,46 +101,54 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_group(path: str, inputs: dict) -> FiniteGroup:
-    return parse_group_text(_read(path, "group", inputs))
+def _load_group(path: str, inputs: dict,
+                check: Callable[[int], None] | None) -> FiniteGroup:
+    """The group of a --group file: the one place a group file is read.
+    ``check`` is the command's cap on |G| (None for none); it runs before a
+    ``cyclic <n>`` group's table is built, and after a permutation group's
+    closure."""
+    return parse_group_text(_read(path, "group", inputs), check)
 
 
 def _load_group_and_spec(args, inputs: dict,
                          check: Callable[[ConnectionSpec, int], None]
                          ) -> tuple[FiniteGroup, ConnectionSpec]:
-    """The --group and --spec files, parsed in that order.  The spec is read
-    once the group's order is known, and ``check(spec, order)`` then runs
-    before a ``cyclic <n>`` group's table is built."""
+    """The --group and --spec files, read in that order.  The spec is read
+    once the group's order is known, and ``check(spec, order)`` is the cap
+    that ``_load_group`` applies."""
     specs = []
 
     def load_spec_and_check(order: int) -> None:
         specs.append(ConnectionSpec.from_json(_read(args.spec, "spec", inputs)))
         check(specs[0], order)
 
-    group = parse_group_text(_read(args.group, "group", inputs), load_spec_and_check)
-    return group, specs[0]
+    return _load_group(args.group, inputs, load_spec_and_check), specs[0]
 
 
-def _load_digraph_args(args, inputs: dict, *,
-                       searched: bool = False) -> tuple[Digraph, list[str] | None]:
-    """The digraph of --digraph, or of --group and --spec.  When it is
-    ``searched``, a digraph over more vertices than the search (with
-    --oracle, the brute force) takes is refused before it is built, and an
-    m-Cayley digraph carries its parts as vertex colors, so ``aut`` counts
-    the part-preserving automorphisms."""
-    def check(n: int) -> None:
-        if searched:
-            check_vertex_count(n, brute_force=args.oracle)
+def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None
+                       ) -> tuple[Digraph, MCayleyDigraph | None]:
+    """The digraph of --digraph, or of --group and --spec, with the m-Cayley
+    digraph it was built as (None for --digraph).  ``check``, when given, is
+    called with the vertex count before the digraph is built: from a
+    --digraph file's header, or as m * |G| before a ``cyclic <n>`` table."""
+    def check_spec(spec: ConnectionSpec, order: int) -> None:
+        if check is not None:
+            check(spec.m * order)
 
     if args.digraph:
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
-    group, spec = _load_group_and_spec(
-        args, inputs, lambda spec, order: check(spec.m * order))
-    x = build_m_cayley(group, spec)
-    labels = [x.vertex_label(v) for v in range(x.digraph.n)]
-    return x.part_colored() if searched else x.digraph, labels
+    x = build_m_cayley(*_load_group_and_spec(args, inputs, check_spec))
+    return x.digraph, x
+
+
+def _check_elements(group: FiniteGroup, flag: str, elements) -> None:
+    """Refuse, as a bad flag value, an element index outside 0..|G|-1."""
+    for e in elements:
+        if not 0 <= e < group.order:
+            raise FormatError(f"{flag} element {e} out of range for group order "
+                              f"{group.order}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -161,10 +169,12 @@ def _cmd_construct(args) -> int:
     elif args.family == "two-gen-mpdr":
         if not args.group or args.m is None:
             raise FormatError("two-gen-mpdr needs --group and --m")
-        group = _load_group(args.group, {})
+        group = _load_group(args.group, {}, None)
         if (args.x is None) != (args.y is None):
             raise FormatError("two-gen-mpdr needs both --x and --y, or neither")
-        if args.x is not None and args.y is not None:
+        if args.x is not None:
+            _check_elements(group, "--x", [args.x])
+            _check_elements(group, "--y", [args.y])
             x, y = args.x, args.y
         elif len(group.designated_generators) >= 2:
             x, y = group.designated_generators[:2]
@@ -178,11 +188,13 @@ def _cmd_construct(args) -> int:
     elif args.family == "drr-extend":
         if not args.group or not args.r:
             raise FormatError("drr-extend needs --group and --r")
-        group = _load_group(args.group, {})
+        # every candidate is a 2-part digraph on 2|G| vertices
+        group = _load_group(args.group, {}, lambda n: check_vertex_count(2 * n))
         try:
             connection = tuple(int(tok) for tok in args.r.split(","))
         except ValueError as exc:
             raise FormatError(f"bad --r list: {args.r!r}") from exc
+        _check_elements(group, "--r", connection)
         spec = drr_to_2pdr(group, connection)
         summary = (f"2-part valency-3 extension of the valency-{len(connection)} "
                    f"DRR {sorted(set(connection))}")
@@ -209,15 +221,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     inputs: dict = {}
-    digraph, _ = _load_digraph_args(args, inputs, searched=True)
+    digraph, x = _load_digraph_args(
+        args, inputs, lambda n: check_vertex_count(n, brute_force=args.oracle))
+    if x is not None:  # the parts are vertex colors
+        digraph = x.part_colored()
+    doc = _envelope(inputs)
     if args.oracle:
-        group = brute_force_automorphisms(digraph)
-        doc = _envelope(inputs)
         doc["mode"] = "oracle"
-        doc["aut"] = group.to_json_dict()
+        doc["aut"] = brute_force_automorphisms(digraph).to_json_dict()
     else:
         result = automorphisms(digraph)
-        doc = _envelope(inputs)
         doc["mode"] = "search"
         doc["aut"] = group_json(result.degree, result.order, result.generators)
         doc["nodes_explored"] = result.nodes_explored
@@ -226,7 +239,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    digraph, labels = _load_digraph_args(args, {})
+    digraph, x = _load_digraph_args(args, {}, None)
+    labels = None if x is None else [x.vertex_label(v) for v in range(digraph.n)]
     text = digraph.to_dot(labels)
     if args.out:
         Path(args.out).write_text(text)
@@ -270,13 +284,9 @@ def _cmd_search(args) -> int:
         if args.group and args.n is not None:
             raise FormatError("exhaust-negative takes --n or --group, not both")
         if args.group:
-            group = _load_group(args.group, inputs)
+            group = _load_group(args.group, inputs, check_exhaust_order)
         elif args.n is not None:
-            # Refuse an order the sweep would refuse before building its
-            # table; cyclic() refuses orders above its own cap unbuilt.
-            if args.n <= CLOSURE_CAP:
-                check_exhaust_order(args.n)
-            group = FiniteGroup.cyclic(args.n)
+            group = parse_group_text(f"cyclic {args.n}", check_exhaust_order)
         else:
             raise FormatError("exhaust-negative needs --n or --group")
         records = exhaust_2partite_valency3(group)
@@ -307,9 +317,8 @@ def _cmd_search(args) -> int:
     else:  # drr2
         if not args.group:
             raise FormatError("drr2 needs --group")
-        # each Cayley digraph searched has |G| vertices: refuse an order
-        # above the search's cap before a cyclic group's table is built
-        group = parse_group_text(_read(args.group, "group", inputs), check_vertex_count)
+        # each Cayley digraph searched has |G| vertices
+        group = _load_group(args.group, inputs, check_vertex_count)
         start = time.perf_counter()
         pair, tested = scan_valency2(group, inverse_free=False)
         verdict = SearchVerdict(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import warnings
 
-from .autgroup import automorphisms
+from .autgroup import automorphisms, check_vertex_count
 from .cayley import ConnectionSpec, cayley_digraph
 from .errors import PreconditionError, SearchExhaustedError
 from .groups import FiniteGroup
@@ -123,7 +123,9 @@ def drr_to_2pdr(group: FiniteGroup, connection: tuple[int, ...] | list[int]) -> 
     identity, in lexicographic order; return the spec T[0,1] = R + {1},
     T[1,0] = L + {1} for the first L whose two-part digraph verifies.  Such
     an L always exists for a genuine DRR, so exhausting the candidates
-    raises SearchExhaustedError."""
+    raises SearchExhaustedError.  Every candidate's digraph has 2|G|
+    vertices, so a group over half the search's vertex cap is refused
+    before anything is built."""
     r_set = tuple(sorted(set(connection)))
     if 0 in r_set:
         raise PreconditionError("the connection set must not contain the identity")
@@ -132,6 +134,7 @@ def drr_to_2pdr(group: FiniteGroup, connection: tuple[int, ...] | list[int]) -> 
     if not 2 * len(r_set) < group.order:
         raise PreconditionError(
             f"need |R| < |G|/2, got |R|={len(r_set)} for |G|={group.order}")
+    check_vertex_count(2 * group.order)
     base = cayley_digraph(group, r_set)
     base_aut = automorphisms(base).order
     if base_aut != group.order:

@@ -231,15 +231,9 @@ class PermGroup:
 
     # -- chain construction ------------------------------------------------
 
-    def _gens_at(self, level: int) -> list[Permutation]:
-        # Strong generators fixing the first `level` base points pointwise.
-        out = []
-        for lvl in self._levels[level:]:
-            out.extend(lvl.gens)
-        return out
-
     def _strong_at(self, level: int) -> list[tuple[int, Permutation]]:
-        # (bit, generator) for each of _gens_at(level), in the same order.
+        # (bit, generator) for each strong generator fixing the first `level`
+        # base points pointwise, level by level.
         return [pair for lvl in self._levels[level:] for pair in zip(lvl.bits, lvl.gens)]
 
     def _rebuild_orbit(self, level: int) -> None:
@@ -405,9 +399,9 @@ class PermGroup:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
         rebased = PermGroup(self.degree, [])
         rebased._levels.append(_Level(point, self.degree))
-        for g in self._gens_at(0):
+        for _, g in self._strong_at(0):
             rebased._extend(g)
-        return PermGroup(self.degree, rebased._gens_at(1))
+        return PermGroup(self.degree, [s for _, s in rebased._strong_at(1)])
 
     def fixes_setwise(self, points: Iterable[int]) -> bool:
         return generators_fix_setwise(self.generators, points)

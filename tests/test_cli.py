@@ -435,6 +435,49 @@ def test_oversized_cyclic_group_refused_before_build(capsys, monkeypatch, files,
                             f"got {vertices}\n")
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["search", "--problem", "exhaust-negative"],
+     "exhaustive 2-part sweep capped at order 8, got 5000"),
+    (["construct", "--family", "drr-extend", "--r", "1,2"],
+     "automorphism search capped at 2048 vertices, got 10000"),
+], ids=["exhaust-negative", "drr-extend"])
+def test_oversized_group_refused_by_command_cap_before_build(capsys, monkeypatch, files,
+                                                            argv, refusal):
+    """exhaust-negative sweeps orders up to 8, and every drr-extend candidate
+    is a 2-part digraph on 2|G| vertices: a cyclic 5000 file is refused by
+    that cap from its header, before its 5000 x 5000 table is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the group table was built")
+
+    monkeypatch.setattr("mpdr.groups.FiniteGroup.cyclic", unbuilt)
+    group = files["tmp"] / "z5000.grp"
+    group.write_text("cyclic 5000\n")
+    start = time.perf_counter()
+    assert main(argv + ["--group", str(group)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {refusal}\n"
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--family", "two-gen-mpdr", "--m", "3", "--x", "99", "--y", "1"], "--x element 99"),
+    (["--family", "two-gen-mpdr", "--m", "3", "--x", "-1", "--y", "1"], "--x element -1"),
+    (["--family", "two-gen-mpdr", "--m", "3", "--x", "1", "--y", "6"], "--y element 6"),
+    (["--family", "drr-extend", "--r", "1,99"], "--r element 99"),
+    (["--family", "drr-extend", "--r", "1,-2"], "--r element -2"),
+])
+def test_construct_element_flag_out_of_range_exit_3(capsys, files, flags, bad):
+    """An element index outside 0..|G|-1 is a bad flag value (exit 3), as the
+    same index in a spec file is."""
+    z6 = files["tmp"] / "z6.grp"
+    z6.write_text("cyclic 6\n")
+    assert main(["construct", *flags, "--group", str(z6)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {bad} out of range for group order 6\n"
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_envelope_hashes_piped_input(capsys, files):
     """A pipe can be read once: the reported hash is of the bytes parsed."""

@@ -1,6 +1,6 @@
 import pytest
 
-from mpdr import (FiniteGroup, PreconditionError, audit_valency,
+from mpdr import (CapExceededError, FiniteGroup, PreconditionError, audit_valency,
                   automorphisms, build_m_cayley, cayley_digraph, cyclic_2pdr,
                   cyclic_mpdr, drr_to_2pdr, find_valency2_orr, is_pdr,
                   two_generated_mpdr)
@@ -212,3 +212,15 @@ def test_drr_to_2pdr_preconditions():
         drr_to_2pdr(z7, (1, 2, 3, 4))
     with pytest.raises(PreconditionError, match="not a digraphical"):
         drr_to_2pdr(FiniteGroup.cyclic(6), (1, 5))  # inverse-closed: a graph, extra auts
+
+
+def test_drr_to_2pdr_refuses_oversized_group_before_search(monkeypatch):
+    """Every candidate is a 2-part digraph on 2|G| vertices: Z1500's 3000 are
+    refused before the 1500-vertex base digraph is built or searched."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the base digraph was built or searched")
+
+    monkeypatch.setattr("mpdr.constructions.cayley_digraph", unbuilt)
+    monkeypatch.setattr("mpdr.constructions.automorphisms", unbuilt)
+    with pytest.raises(CapExceededError, match="capped at 2048 vertices, got 3000$"):
+        drr_to_2pdr(FiniteGroup.cyclic(1500), (1, 2))
