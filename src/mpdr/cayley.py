@@ -55,19 +55,6 @@ class ConnectionSpec:
         object.__setattr__(self, "entries", tuple(sorted(canon)))
 
     @classmethod
-    def _canonical(cls, m: int, group_order: int,
-                   entries: tuple[tuple[int, int, tuple[int, ...]], ...]) -> ConnectionSpec:
-        """Wrap entries already in the form ``__post_init__`` leaves them,
-        skipping its checks: part pairs distinct, in range and sorted, each
-        set a nonempty ascending tuple of distinct ints in range.  Only the
-        2-part sweep uses it, whose entries are built that way."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "m", m)
-        object.__setattr__(spec, "group_order", group_order)
-        object.__setattr__(spec, "entries", entries)
-        return spec
-
-    @classmethod
     def from_sets(cls, m: int, group_order: int,
                   sets: Mapping[tuple[int, int], Iterable[int]]) -> ConnectionSpec:
         return cls(m, group_order,

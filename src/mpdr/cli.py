@@ -130,12 +130,14 @@ def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None
     """The digraph of --digraph, or of --group and --spec, with the m-Cayley
     digraph it was built as (None for --digraph).  ``check``, when given, is
     called with the vertex count before the digraph is built: from a
-    --digraph file's header, or as m * |G| before a ``cyclic <n>`` table."""
+    --digraph file's header, or as m * |G| before a ``cyclic <n>`` table.
+    --digraph with --group or --spec is refused before any file is read."""
     def check_spec(spec: ConnectionSpec, order: int) -> None:
         if check is not None:
             check(spec.m * order)
 
     if args.digraph:
+        _refuse_unread(args, "--digraph")
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
@@ -249,9 +251,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
-# The flags each search problem (and rigid3 mode) and each construct family
-# reads, and the default of every flag either command takes: a flag that is
-# not read is refused, not dropped.
+# The flags each search problem (and rigid3 mode), each construct family and
+# an aut or export --digraph reads, and the default of every flag these
+# commands take: a flag that is not read is refused, not dropped.
 _READS = {
     "exhaust-negative": {"n", "group"},
     "rigid3 exhaustive mode": {"m", "mode", "oriented", "jobs"},
@@ -261,10 +263,11 @@ _READS = {
     "cyclic-mpdr": {"n", "m"},
     "two-gen-mpdr": {"group", "m", "x", "y"},
     "drr-extend": {"group", "r"},
+    "--digraph": set(),
 }
 _DEFAULTS = {"m": None, "mode": "exhaustive", "budget": 1000, "oriented": False,
              "jobs": 1, "seed": 0, "n": None, "group": None, "x": None, "y": None,
-             "r": None}
+             "r": None, "spec": None}
 
 
 def _refuse_unread(args, what: str) -> None:
@@ -289,16 +292,9 @@ def _cmd_search(args) -> int:
             group = parse_group_text(f"cyclic {args.n}", check_exhaust_order)
         else:
             raise FormatError("exhaust-negative needs --n or --group")
-        records = exhaust_2partite_valency3(group)
-        recs = []
-        for spec, order in records:
-            shift = translate_relation(group, spec.set_for(0, 1), spec.set_for(1, 0))
-            recs.append({
-                "t01": list(spec.set_for(0, 1)),
-                "t10": list(spec.set_for(1, 0)),
-                "aut_order": order,
-                "shift_exponent": shift,
-            })
+        recs = [{"t01": list(t01), "t10": list(t10), "aut_order": order,
+                 "shift_exponent": translate_relation(group, t01, t10)}
+                for (t01, t10), order in exhaust_2partite_valency3(group)]
         doc = _envelope(inputs)
         doc.update({
             "problem": "exhaust-negative",

@@ -62,18 +62,21 @@ class Permutation:
     def from_cycles(cls, text: str, degree: int) -> Permutation:
         """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` is the identity.
 
-        Commas or spaces separate points.  Points not mentioned are fixed.
+        Commas or spaces separate points.  Points not mentioned are fixed,
+        and no point may appear twice, in one cycle or in two.
         """
         stripped = text.strip()
         if not re.fullmatch(r"(\s*\([\d,\s]*\)\s*)*", stripped):
             raise FormatError(f"cannot parse permutation: {text!r}")
+        cycles = [[int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+                  for body in _CYCLE_RE.findall(stripped)]
+        mentioned = [p for points in cycles for p in points]
+        if any(p >= degree for p in mentioned):
+            raise FormatError(f"point out of range for degree {degree}: {text!r}")
+        if len(mentioned) != len(set(mentioned)):
+            raise FormatError(f"repeated point in cycle notation: {text!r}")
         images = list(range(degree))
-        for body in _CYCLE_RE.findall(stripped):
-            points = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-            if any(p >= degree for p in points):
-                raise FormatError(f"point out of range for degree {degree}: {text!r}")
-            if len(points) != len(set(points)):
-                raise FormatError(f"repeated point in cycle: {text!r}")
+        for points in cycles:
             for a, b in zip(points, points[1:]):
                 images[a] = b
             if points:

@@ -17,11 +17,8 @@ group's ``mul``):
 The orbits are found in one traversal of the sweep indices in order: each
 index not yet reached starts a walk over the move generators, and every
 index the walk reaches is labelled with it, so each orbit is labelled with
-its first spec in sweep order.  That spec is searched, and every spec takes
-its orbit's order.  The specs are built by ``ConnectionSpec._canonical`` on
-the 3-subsets that ``itertools.combinations`` yields, which are already
-ascending, distinct and in range, so no spec is re-validated and every spec
-shares its two subset tuples with the others.
+its first spec in sweep order.  Only that spec is built as a
+``ConnectionSpec`` and searched, and every spec takes its orbit's order.
 
 The sweeps and the valency-2 scan ask only for an order, so they read
 ``automorphisms(...).order`` and build no stabilizer chain.  The m-Cayley
@@ -79,31 +76,30 @@ class SearchVerdict:
         }
 
 
-def exhaust_2partite_valency3(group: FiniteGroup) -> list[tuple[ConnectionSpec, int]]:
-    """Every 2-part spec with both connection sets of size 3, with the exact
-    (color-blind) automorphism order of the built digraph, in the order of
+def exhaust_2partite_valency3(
+        group: FiniteGroup) -> list[tuple[tuple[tuple[int, ...], tuple[int, ...]], int]]:
+    """Every 2-part spec with both connection sets of size 3, as its pair
+    (T01, T10) of ascending triples, with the exact (color-blind)
+    automorphism order of the built digraph, in the order of
     ``itertools.product`` over the 3-subsets.  The spec space is C(n,3)^2,
     so the group order is capped at ``EXHAUST_ORDER_CAP``.
 
     The orbits under the moves of the module docstring (part relabelings by
     generators of the group, generators of its automorphism group, and the
     part swap) are labelled by their first sweep index (``_orbit_firsts``).
-    Only each orbit's first spec is searched; each move is an isomorphism
-    of the built digraphs, so every spec gets its first spec's order.
-    The specs come from ``ConnectionSpec._canonical``: their entries
-    ((0, 1, T01), (1, 0, T10)) are sorted and each T is an ascending 3-subset
-    from ``itertools.combinations``, so no spec is re-checked and the C(n,3)
-    subset tuples are shared by every spec that holds them."""
+    Only each orbit's first pair is built as a ``ConnectionSpec`` and
+    searched; each move is an isomorphism of the built digraphs, so every
+    pair gets its first pair's order."""
     n = group.order
     check_exhaust_order(n)
     triples = list(itertools.combinations(range(n), 3))
-    specs = [ConnectionSpec._canonical(2, n, ((0, 1, t01), (1, 0, t10)))
-             for t01, t10 in itertools.product(triples, repeat=2)]
+    pairs = list(itertools.product(triples, repeat=2))
     first = _orbit_firsts(group, triples)
-    reps = sorted(set(first))
-    orders = {k: order for k, (_, order)
-              in zip(reps, _aut_orders(group, (specs[k] for k in reps)))}
-    return [(spec, orders[first[k]]) for k, spec in enumerate(specs)]
+    reps = [k for k, f in enumerate(first) if f == k]
+    specs = (ConnectionSpec.from_sets(2, n, {(0, 1): pairs[k][0], (1, 0): pairs[k][1]})
+             for k in reps)
+    orders = {k: order for k, (_, order) in zip(reps, _aut_orders(group, specs))}
+    return [(pair, orders[f]) for pair, f in zip(pairs, first)]
 
 
 def check_exhaust_order(n: int) -> None:

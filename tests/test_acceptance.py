@@ -62,8 +62,9 @@ def corpus(s3, d4, q8, z2z4, a5):
     z3 = FiniteGroup.cyclic(3)
     add("z3-full", z3, ConnectionSpec.from_sets(2, 3, {(0, 1): (0, 1, 2),
                                                        (1, 0): (0, 1, 2)}))
-    for spec, _ in exhaust_2partite_valency3(FiniteGroup.cyclic(4)):
-        add("z4-neg", FiniteGroup.cyclic(4), spec)
+    for (t01, t10), _ in exhaust_2partite_valency3(FiniteGroup.cyclic(4)):
+        add("z4-neg", FiniteGroup.cyclic(4),
+            ConnectionSpec.from_sets(2, 4, {(0, 1): t01, (1, 0): t10}))
 
     a5_pair = find_valency2_orr(a5)
     a5_spec = drr_to_2pdr(a5, a5_pair)
@@ -89,10 +90,9 @@ def test_criterion_02_small_cyclic_exhaustive_negative():
         z4 = FiniteGroup.cyclic(4)
         z4_records = exhaust_2partite_valency3(z4)
         assert len(z4_records) == 16
-        for spec, order in z4_records:
+        for (t01, t10), order in z4_records:
             assert order > 4
-            assert translate_relation(z4, spec.set_for(0, 1),
-                                      spec.set_for(1, 0)) is not None
+            assert translate_relation(z4, t01, t10) is not None
 
 
 def test_criterion_03_three_step_neighborhood_counts():

@@ -11,6 +11,7 @@ import pytest
 from mpdr import (Digraph, FiniteGroup, FormatError, automorphisms, cyclic_2pdr,
                   search)
 from mpdr.cli import main, parse_group_text
+from test_sweep_pin import RECORD_DIGESTS
 
 # Whole CLI documents, keyed by case name: the exit code and the JSON report
 # with wall times dropped and input paths cut to their basenames.
@@ -207,6 +208,15 @@ def test_non_utf8_input_exit_3(capsys, files):
     assert captured.err.startswith("input error:")
 
 
+def test_generator_with_point_repeated_across_cycles_exit_3(capsys, files):
+    bad = files["tmp"] / "bad.grp"
+    bad.write_text("perm 3\n(0 1)(0 2)\n")
+    assert main(["search", "--problem", "drr2", "--group", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: repeated point in cycle notation: '(0 1)(0 2)'\n"
+
+
 @pytest.mark.parametrize("module,argv", [
     ("mpdr.verify", ["verify", "--group", "z5", "--spec", "fig"]),
     ("mpdr.cli", ["aut", "--digraph", "tri"]),
@@ -271,6 +281,26 @@ def test_readme_color_example(capsys, files, argv, code, order, nodes):
     assert (got, *result) == (code, order, nodes)
 
 
+@pytest.mark.parametrize("command", ["aut", "export"])
+@pytest.mark.parametrize("flags, unread", [
+    (["--group", "z5"], "--group"),
+    (["--spec", "missing"], "--spec"),
+    (["--group", "z5", "--spec", "missing"], "--group, --spec"),
+])
+def test_digraph_with_group_or_spec_refused(capsys, monkeypatch, files, command,
+                                            flags, unread):
+    """--digraph is not combined with --group or --spec: the other flags
+    are refused, before any file is read, not dropped."""
+    read = []
+    monkeypatch.setattr("mpdr.cli._read", lambda path, *a: read.append(path))
+    paths = {**files, "missing": files["tmp"] / "missing.spec"}
+    argv = [str(paths.get(a, a)) for a in flags]
+    assert main([command, "--digraph", str(files["tri"]), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and read == []
+    assert captured.err == f"input error: --digraph does not take {unread}\n"
+
+
 def test_export_dot_digon_rendering(capsys, files):
     z2 = files["tmp"] / "z2.grp"
     z2.write_text("cyclic 2\n")
@@ -296,6 +326,25 @@ def test_search_exhaust_negative(capsys, files):
     assert doc["all_exceed_group_order"] is True
     assert all(r["aut_order"] > 4 for r in doc["records"])
     assert all(r["shift_exponent"] is not None for r in doc["records"])
+
+
+# sha256 of the JSON ``records`` list (keys sorted, shift_exponent included)
+# of exhaust-negative over the Q8 group file.
+Q8_EXHAUST_RECORDS_DIGEST = "1dc6b8307294278225c174b28fc1e548a158911157f67fe4843c3d8d1912e310"
+
+
+def test_search_exhaust_negative_nonabelian_group_file(capsys, files):
+    code, doc = run_json(capsys, ["search", "--problem", "exhaust-negative",
+                                  "--group", str(files["q8"])])
+    assert code == 0
+    assert doc["parameters"] == {"group_order": 8}
+    assert doc["all_exceed_group_order"] is False
+    records = doc["records"]
+    assert len(records) == 56 ** 2
+    rows = [[r["t01"], r["t10"], r["aut_order"]] for r in records]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == RECORD_DIGESTS["q8"]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == Q8_EXHAUST_RECORDS_DIGEST
 
 
 def test_search_rigid3(capsys, files):

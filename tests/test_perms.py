@@ -26,6 +26,12 @@ def test_cycle_parse_errors():
         Permutation.from_cycles("nonsense", 3)
 
 
+@pytest.mark.parametrize("text", ["(0 1)(0 2)", "(0 1)(2 1)", "(0)(0)", "(0 1 2)(3 4)(4 0)"])
+def test_cycle_parse_refuses_point_repeated_across_cycles(text):
+    with pytest.raises(FormatError, match="repeated point"):
+        Permutation.from_cycles(text, 5)
+
+
 def test_composition_convention():
     a = Permutation([1, 0, 2])   # (0 1)
     b = Permutation([0, 2, 1])   # (1 2)

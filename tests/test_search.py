@@ -20,24 +20,30 @@ from mpdr.cayley import ConnectionSpec
 def test_exhaust_z3():
     recs = exhaust_2partite_valency3(FiniteGroup.cyclic(3))
     assert len(recs) == 1
-    (spec, order), = recs
-    assert spec.set_for(0, 1) == (0, 1, 2) and spec.set_for(1, 0) == (0, 1, 2)
+    ((t01, t10), order), = recs
+    assert t01 == (0, 1, 2) and t10 == (0, 1, 2)
     assert order > 3
 
 
-@pytest.mark.parametrize("name", ["Z8", "d4", "q8", "z2z4"])
-def test_sweep_specs_equal_validated(request, name):
-    """The sweep's specs, built without validation, equal the validated
-    ones field for field and hash alike."""
+@pytest.mark.parametrize("name, orbits", [("Z8", 72), ("d4", 44), ("q8", 20)])
+def test_sweep_builds_one_spec_per_orbit(request, monkeypatch, name, orbits):
+    """The sweep builds a ConnectionSpec only for the first pair of each
+    orbit, in sweep order, and builds each one validated."""
     group = FiniteGroup.cyclic(8) if name == "Z8" else request.getfixturevalue(name)
-    triples = itertools.combinations(range(group.order), 3)
+    built = []
+    post_init = ConnectionSpec.__post_init__
+
+    def recording(spec):
+        post_init(spec)
+        built.append(spec)
+
+    monkeypatch.setattr(ConnectionSpec, "__post_init__", recording)
     records = exhaust_2partite_valency3(group)
-    assert len(records) == 56 ** 2
-    for (spec, _), (t01, t10) in zip(records, itertools.product(triples, repeat=2)):
-        validated = ConnectionSpec.from_sets(2, group.order, {(0, 1): t01, (1, 0): t10})
-        assert spec == validated
-        assert hash(spec) == hash(validated)
-        assert spec.entries == validated.entries
+    triples = list(itertools.combinations(range(group.order), 3))
+    firsts = sorted(set(search._orbit_firsts(group, triples)))
+    assert len(firsts) == len(built) == orbits
+    assert [(s.set_for(0, 1), s.set_for(1, 0)) for s in built] == \
+        [records[k][0] for k in firsts]
 
 
 @pytest.mark.parametrize("name", ["Z8", "d4", "q8", "z2z4", "Z7"])
@@ -70,12 +76,12 @@ def test_exhaust_z4_all_fail_with_shift_property():
     z4 = FiniteGroup.cyclic(4)
     recs = exhaust_2partite_valency3(z4)
     assert len(recs) == 16
-    for spec, order in recs:
+    for (t01, t10), order in recs:
         assert order > 4
-        shift = translate_relation(z4, spec.set_for(0, 1), spec.set_for(1, 0))
+        shift = translate_relation(z4, t01, t10)
         assert shift is not None
-        expected = tuple(sorted(z4.mul(shift, t) for t in spec.set_for(0, 1)))
-        assert expected == spec.set_for(1, 0)
+        expected = tuple(sorted(z4.mul(shift, t) for t in t01))
+        assert expected == t10
 
 
 def test_exhaust_count_formula():

@@ -36,8 +36,7 @@ def _group(request, name):
 
 
 def _rows(records):
-    return [[list(spec.set_for(0, 1)), list(spec.set_for(1, 0)), order]
-            for spec, order in records]
+    return [[list(t01), list(t10), order] for (t01, t10), order in records]
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
@@ -55,6 +54,9 @@ def test_sweep_matches_per_spec_searches(request, name):
     group = (FiniteGroup.cyclic(int(name[1:])) if name.startswith("Z")
              else request.getfixturevalue(name))
     triples = list(itertools.combinations(range(group.order), 3))
+    pairs = list(itertools.product(triples, repeat=2))
     specs = [ConnectionSpec.from_sets(2, group.order, {(0, 1): t01, (1, 0): t10})
-             for t01, t10 in itertools.product(triples, repeat=2)]
-    assert exhaust_2partite_valency3(group) == search._aut_orders(group, specs)
+             for t01, t10 in pairs]
+    searched = search._aut_orders(group, specs)
+    assert exhaust_2partite_valency3(group) == \
+        [(pair, order) for pair, (_, order) in zip(pairs, searched)]
