@@ -24,7 +24,8 @@ and ``aut`` read their answers from it, and :func:`first_automorphism` (so
 :func:`is_rigid`) stops at the first automorphism found.  A chain is built
 only on the first read of ``AutSearchResult.group``: by
 :func:`automorphism_search`, once, from the generator list, with its order
-checked against the search's; the brute-force oracle builds its own.
+checked against the search's.  The brute-force oracle returns the same
+report, its generators kept by ``perms.closure``, and builds no chain.
 
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ from typing import Iterator
 
 from .digraphs import Digraph
 from .errors import CapExceededError
-from .perms import OrbitPartition, PermGroup, Permutation
+from .perms import OrbitPartition, PermGroup, Permutation, closure, then
 
 VERTEX_CAP = 2048
 BRUTE_FORCE_CAP = 9
@@ -67,9 +69,9 @@ _Partition = tuple[list[int], list[int], list[int], list[int], list[int]]
 
 @dataclass
 class AutSearchResult:
-    """What one search found: |Aut| and the automorphisms it kept, each
-    outside the group generated by those before it, so they are exactly the
-    generators a ``PermGroup`` built from them keeps."""
+    """What one search (or the brute-force oracle) found: |Aut| and the
+    automorphisms it kept, each outside the group generated by those before
+    it, so they are exactly the generators a ``PermGroup`` keeps."""
 
     degree: int
     order: int
@@ -80,12 +82,12 @@ class AutSearchResult:
     @functools.cached_property
     def group(self) -> PermGroup:
         """The stabilizer chain of the generators, built on first read.  Its
-        order must be the one the search read off its orbits; a disagreement
-        raises RuntimeError."""
+        order must be ``order``: the search's orbit product, or the oracle's
+        count of survivors; a disagreement raises RuntimeError."""
         group = PermGroup(self.degree, self.generators)
         if group.order != self.order:
             raise RuntimeError(f"stabilizer chain order {group.order} disagrees with "
-                               f"the search's orbit product {self.order}")
+                               f"the reported order {self.order}")
         return group
 
 
@@ -140,29 +142,33 @@ def _search(digraph: Digraph) -> _AutSearch:
     return _AutSearch(digraph)
 
 
-def brute_force_automorphisms(digraph: Digraph) -> PermGroup:
+def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
     """Independent oracle: filter all n! vertex permutations by arc and
-    color preservation.  Only for n <= 9."""
+    color preservation (n <= 9).  ``order`` counts the survivors, of which
+    ``perms.closure`` keeps the ``generators``, and ``nodes_explored`` is n!."""
+    start = time.perf_counter()
     n = digraph.n
     check_vertex_count(n, brute_force=True)
     col = digraph.vertex_color
     arcs = digraph.arcs()
     out_bits = digraph.out_bits
-    survivors = []
-    for p in itertools.permutations(range(n)):
-        if col is not None and any(col[p[v]] != col[v] for v in range(n)):
-            continue
-        ok = True
-        for u, v in arcs:
-            if not out_bits[p[u]] >> p[v] & 1:
-                ok = False
-                break
-        if ok:
-            survivors.append(p)
-    group = PermGroup(n, survivors)
-    if group.order != len(survivors):
-        raise RuntimeError("stabilizer chain order disagrees with filtered count")
-    return group
+    count = 0
+
+    def survivors() -> Iterator[tuple[int, ...]]:
+        nonlocal count
+        for p in itertools.permutations(range(n)):
+            if col is not None and any(col[p[v]] != col[v] for v in range(n)):
+                continue
+            for u, v in arcs:
+                if not out_bits[p[u]] >> p[v] & 1:
+                    break
+            else:
+                count += 1
+                yield p
+
+    generators, _ = closure(survivors(), then, tuple(range(n)))
+    return AutSearchResult(n, count, [Permutation._unchecked(g) for g in generators],
+                           math.factorial(n), time.perf_counter() - start)
 
 
 class _AutSearch:

@@ -228,13 +228,10 @@ def _cmd_aut(args) -> int:
     if x is not None:  # the parts are vertex colors
         digraph = x.part_colored()
     doc = _envelope(inputs)
-    if args.oracle:
-        doc["mode"] = "oracle"
-        doc["aut"] = brute_force_automorphisms(digraph).to_json_dict()
-    else:
-        result = automorphisms(digraph)
-        doc["mode"] = "search"
-        doc["aut"] = group_json(result.degree, result.order, result.generators)
+    result = (brute_force_automorphisms if args.oracle else automorphisms)(digraph)
+    doc["mode"] = "oracle" if args.oracle else "search"
+    doc["aut"] = group_json(result.degree, result.order, result.generators)
+    if not args.oracle:
         doc["nodes_explored"] = result.nodes_explored
     _emit(doc, args.out)
     return 0

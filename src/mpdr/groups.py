@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
-from .perms import Permutation
+from .perms import Permutation, closure
 
 CLOSURE_CAP = 5000
 
@@ -157,19 +157,7 @@ class FiniteGroup:
 
     def generates(self, subset: Iterable[int]) -> bool:
         """True iff the closure of the subset (with the identity) is the group."""
-        closure = {0}
-        frontier = [0]
-        gens = sorted(set(subset))
-        for g in gens:
-            self._check(g)
-        while frontier:
-            e = frontier.pop()
-            for g in gens:
-                p = self._table[e][g]
-                if p not in closure:
-                    closure.add(p)
-                    frontier.append(p)
-        return len(closure) == self.order
+        return len(closure(sorted(set(subset)), self.mul, 0)[1]) == self.order
 
     def is_abelian(self) -> bool:
         n = self.order

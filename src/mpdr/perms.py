@@ -11,7 +11,7 @@ point, strong generator) pairs whose Schreier generators it has verified,
 so each is sifted once while the level's transversal stands (the
 incremental Schreier-Sims of Seress, *Permutation Group Algorithms*, ch. 4).
 ``OrbitPartition`` is the union-find shared by ``PermGroup.orbits`` and the
-automorphism search.
+automorphism search; ``closure`` keeps generators by the chain's rule without one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import itertools
 import re
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, FormatError
 
@@ -423,9 +423,6 @@ class PermGroup:
         return (functools.reduce(Permutation.__mul__, reps, Permutation.identity(self.degree))
                 for reps in itertools.product(*transversals))
 
-    def to_json_dict(self) -> dict:
-        return group_json(self.degree, self.order, self.generators)
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
@@ -444,6 +441,33 @@ def group_json(degree: int, order: int, generators: Iterable[Permutation]) -> di
         "order": str(order),
         "generators": [g.cycle_string() for g in generators],
     }
+
+
+def then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of "a, then b", for permutations given as image tuples."""
+    return tuple(map(b.__getitem__, a))
+
+
+def closure(elements: Iterable, mul: Callable, identity) -> tuple[list, set]:
+    """The elements, in order, outside the group generated by those kept
+    before them (the rule of ``PermGroup._extend``, so on permutations the
+    chain's generators), and the set of the group they generate.  Dimino's
+    algorithm (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
+    559, 1991): a new generator adds whole right cosets of the group before
+    it, one per product of a coset representative and a generator outside."""
+    kept, group = [], {identity}
+    for g in elements:
+        if g in group:
+            continue
+        kept.append(g)
+        old, reps = list(group), [identity]
+        for r in reps:
+            for s in kept:
+                y = mul(r, s)
+                if y not in group:
+                    reps.append(y)
+                    group.update([mul(h, y) for h in old])
+    return kept, group
 
 
 def is_semiregular(group: PermGroup) -> bool:

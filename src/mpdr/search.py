@@ -50,6 +50,7 @@ from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
+from .perms import closure, then
 
 EXHAUST_ORDER_CAP = 8
 EXHAUSTIVE_RIGID_CAP = 7
@@ -82,12 +83,10 @@ def exhaust_2partite_valency3(
     (T01, T10) of ascending triples, with the exact (color-blind)
     automorphism order of the built digraph, in the order of
     ``itertools.product`` over the 3-subsets.  The spec space is C(n,3)^2,
-    so the group order is capped at ``EXHAUST_ORDER_CAP``.
+    so the group order must lie in 3..``EXHAUST_ORDER_CAP``.
 
-    The orbits under the moves of the module docstring (part relabelings by
-    generators of the group, generators of its automorphism group, and the
-    part swap) are labelled by their first sweep index (``_orbit_firsts``).
-    Only each orbit's first pair is built as a ``ConnectionSpec`` and
+    Only the first pair of each orbit under the moves of the module
+    docstring (``_orbit_firsts``) is built as a ``ConnectionSpec`` and
     searched; each move is an isomorphism of the built digraphs, so every
     pair gets its first pair's order."""
     n = group.order
@@ -103,7 +102,11 @@ def exhaust_2partite_valency3(
 
 
 def check_exhaust_order(n: int) -> None:
-    """Refuse a 2-part sweep over a group of order above the cap."""
+    """Refuse a 2-part sweep over a group of order below 3 (no 3-subset, so
+    no spec) or above the cap."""
+    if n < 3:
+        raise PreconditionError(
+            f"exhaustive 2-part sweep needs a group of order at least 3, got {n}")
     if n > EXHAUST_ORDER_CAP:
         raise PreconditionError(
             f"exhaustive 2-part sweep capped at order {EXHAUST_ORDER_CAP}, got {n}")
@@ -147,34 +150,14 @@ def _spec_maps(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...
     n = group.order
     ident = tuple(range(n))
     maps = []
-    for a in _generating_set(range(n), group.mul, 0):
+    for a in closure(range(n), group.mul, 0)[0]:
         inv = group.inverse(a)
         right = tuple(group.mul(t, inv) for t in range(n))
         maps += [(right, group.row(a), False), (group.row(a), right, False)]
-    autos = _automorphisms(group)
-    for sigma in _generating_set(autos, lambda s, t: tuple(t[x] for x in s), ident):
+    for sigma in closure(_automorphisms(group), then, ident)[0]:
         maps.append((sigma, sigma, False))
     maps.append((ident, ident, True))
     return maps
-
-
-def _generating_set(elements, mul, identity) -> list:
-    """The elements, in order, that are not in the subgroup generated by
-    those before them; together they generate the group."""
-    chosen, closure = [], {identity}
-    for x in elements:
-        if x in closure:
-            continue
-        chosen.append(x)
-        frontier = list(closure)
-        while frontier:
-            y = frontier.pop()
-            for g in chosen:
-                z = mul(y, g)
-                if z not in closure:
-                    closure.add(z)
-                    frontier.append(z)
-    return chosen
 
 
 def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -182,7 +165,7 @@ def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     trying every assignment of images to a generating set (at most 8^3
     at the sweep's order cap)."""
     n = group.order
-    gens = _generating_set(range(n), group.mul, 0)
+    gens, _ = closure(range(n), group.mul, 0)
     autos = []
     for images in itertools.product(range(n), repeat=len(gens)):
         phi = _homomorphism(group, gens, images)

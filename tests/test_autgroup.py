@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from mpdr import autgroup, perms, verify
-from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, PermGroup,
-                  VerificationReport, automorphism_search, automorphisms,
+from mpdr import (AutSearchResult, CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
+                  PermGroup, VerificationReport, automorphism_search, automorphisms,
                   brute_force_automorphisms, build_m_cayley, cyclic_2pdr, cyclic_mpdr,
                   exhaust_z2_m3_valency3, is_pdr, is_rigid, part_swap_automorphism,
                   stabilizer_criterion_check, two_generated_mpdr)
@@ -53,6 +53,37 @@ def test_brute_force_examples():
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_automorphisms(Digraph(10, []))
+
+
+def test_oracle_keeps_the_chains_generators():
+    """The oracle reports the survivors' count, n! permutations tested, and
+    the survivors a stabilizer chain keeps: reading ``group`` builds that
+    chain and checks its order against the count, so it raises nothing."""
+    rng = random.Random(23)
+    for i in range(100):
+        n = rng.randint(1, 7)
+        p = rng.choice([0.1, 0.25, 0.5, 0.75])
+        arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
+        colors = [rng.randint(0, 1) for _ in range(n)] if i % 3 == 0 else None
+        result = brute_force_automorphisms(Digraph(n, arcs, vertex_color=colors,
+                                                   allow_loops=True))
+        assert isinstance(result, AutSearchResult)
+        assert result.nodes_explored == math.factorial(n)
+        assert result.group.generators == result.generators
+        assert result.group.order == result.order
+
+
+def test_oracle_builds_no_chain_until_group_is_read(monkeypatch):
+    class Miscounted(PermGroup):
+        @property
+        def order(self):
+            return 2 * PermGroup.order.fget(self)
+
+    monkeypatch.setattr(autgroup, "PermGroup", Miscounted)
+    result = brute_force_automorphisms(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    assert result.order == 3
+    with pytest.raises(RuntimeError, match="chain order 6 disagrees with the reported order 3"):
+        result.group
 
 
 def test_vertex_cap():
@@ -132,8 +163,11 @@ def test_refinement_matches_definition():
     """The neighbour-driven refinement skips splitters and walks siblings in
     place of large fragments, yet must split cells in the same order as the
     refinement by definition: cell order decides the target cells, so the
-    generators too."""
+    generators too.  The 2-part m-Cayley digraphs with digons, up to 60
+    vertices, are where most splitters after an individualization are
+    single vertices."""
     rng = random.Random(5)
+    digraphs = []
     for i in range(150):
         n = rng.randint(1, 16)
         if i % 3:
@@ -145,7 +179,18 @@ def test_refinement_matches_definition():
             shifts = rng.sample(range(n), rng.randint(1, min(n, 3)))
             arcs = [(sigma[u], sigma[(u + t) % n]) for u in range(n) for t in shifts]
         colors = [rng.randint(0, 1) for _ in range(n)] if i % 2 else None
-        digraph = Digraph(n, arcs, vertex_color=colors, allow_loops=True)
+        digraphs.append(Digraph(n, arcs, vertex_color=colors, allow_loops=True))
+    swap = {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)}  # T01 = 1 + T10
+    specs = [cyclic_2pdr(n) for n in (5, 16)]
+    specs += [ConnectionSpec.from_sets(2, n, swap) for n in (5, 7)]
+    # T10 = -T01: every arc lies on a digon
+    specs += [ConnectionSpec.from_sets(2, n, {(0, 1): (0, 1, 2), (1, 0): (0, n - 2, n - 1)})
+              for n in (20, 30)]
+    for spec in specs:
+        digraph = build_m_cayley(FiniteGroup.cyclic(spec.group_order), spec).digraph
+        assert any(digraph.digon_bits)
+        digraphs.append(digraph)
+    for digraph in digraphs:
         search = autgroup._AutSearch(digraph)
         initial = partition_cells(search.root)
         root = search._refine(search.root, [(f, f + k, None)

@@ -132,6 +132,24 @@ def test_search_refuses_sweep_order_before_building_group(capsys, monkeypatch, n
                             f"{search.EXHAUST_ORDER_CAP}, got {n}\n")
 
 
+@pytest.mark.parametrize("source", ["--n 1", "--n 2", "cyclic 2 file"])
+def test_search_refuses_sweep_without_a_3_subset(capsys, files, source):
+    """A group of order 1 or 2 has no 3-subset, so no spec to sweep: the
+    sweep is refused rather than printing no records and a vacuous
+    ``all_exceed_group_order``."""
+    if source.startswith("--n"):
+        argv, n = source.split(), source[-1]
+    else:
+        n = "2"
+        files["tmp"].joinpath("z2.grp").write_text("cyclic 2\n")
+        argv = ["--group", str(files["tmp"] / "z2.grp")]
+    assert main(["search", "--problem", "exhaust-negative", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"refused: exhaustive 2-part sweep needs a group of order "
+                            f"at least 3, got {n}\n")
+
+
 def test_construct_two_gen_from_group_file(capsys, files):
     out = files["tmp"] / "spec.json"
     code = main(["construct", "--family", "two-gen-mpdr", "--group", str(files["s3"]),

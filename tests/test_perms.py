@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
-                  automorphisms, build_m_cayley, cyclic_2pdr)
+                  automorphisms, build_m_cayley, cyclic_2pdr, perms)
 from test_chain_pin import generator_corpus, search_corpus
 
 
@@ -106,6 +106,25 @@ def closure(degree: int, gens: list[Permutation]) -> set[tuple[int, ...]]:
     return seen
 
 
+def test_dimino_closure_keeps_the_chains_generators():
+    """``perms.closure`` keeps a permutation iff it lies outside the group
+    generated by those kept before it, the rule of ``PermGroup._extend``,
+    and lists the elements the closure above finds."""
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        gens = [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(0, 5))]
+        gens += rng.sample(gens, min(len(gens), 2))  # repeats are never kept
+        kept, elements = perms.closure([g.images for g in gens], perms.then, tuple(range(n)))
+        assert kept == [g.images for g in PermGroup(n, gens).generators]
+        assert elements == closure(n, gens)
+
+
+def test_then_composes_left_to_right():
+    a, b = Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(1 2)", 3)
+    assert perms.then(a.images, b.images) == (a * b).images == (2, 0, 1)
+
+
 def test_order_equals_element_count_small():
     """Chain order vs honest enumeration, on a batch of random 2-generator
     subgroups of S_6."""
@@ -177,7 +196,7 @@ def test_fixes_setwise_pointwise():
 
 def test_json_report():
     g = PermGroup(3, [Permutation.from_cycles("(0 1 2)", 3)])
-    doc = g.to_json_dict()
+    doc = perms.group_json(g.degree, g.order, g.generators)
     assert doc == {"degree": 3, "order": "3", "generators": ["(0 1 2)"]}
 
 

@@ -100,6 +100,12 @@ def test_exhaust_cap():
         exhaust_2partite_valency3(FiniteGroup.cyclic(9))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_exhaust_refuses_order_without_a_3_subset(n):
+    with pytest.raises(PreconditionError, match=f"order at least 3, got {n}"):
+        exhaust_2partite_valency3(FiniteGroup.cyclic(n))
+
+
 def test_translate_relation():
     z4 = FiniteGroup.cyclic(4)
     assert translate_relation(z4, (0, 1, 2), (1, 2, 3)) == 1

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from mpdr import build_m_cayley, search
+from mpdr.perms import closure, then
 from mpdr.cayley import ConnectionSpec
 
 AUT_ORDERS = {"d4": 8, "q8": 24}
@@ -55,7 +56,7 @@ def _formula_moves(group):
     n, e = group.order, 0
     ident = tuple(range(n))
     moves = []
-    for a in search._generating_set(range(n), group.mul, 0):
+    for a in closure(range(n), group.mul, 0)[0]:
         inv = group.inverse(a)
         right = tuple(group.mul(t, inv) for t in range(n))
         moves.append(((right, group.row(a), False),
@@ -67,7 +68,7 @@ def _formula_moves(group):
                       lambda t01, t10, a=a, inv=inv: (_times(group, a, e)(t01),
                                                       _times(group, e, inv)(t10))))
     autos = search._automorphisms(group)
-    for s in search._generating_set(autos, lambda x, y: tuple(y[i] for i in x), ident):
+    for s in closure(autos, then, ident)[0]:
         moves.append(((s, s, False),
                       lambda i, g, s=s: (i, s[g]),
                       lambda t01, t10, s=s: (tuple(sorted(s[t] for t in t01)),
@@ -82,7 +83,7 @@ def _formula_moves(group):
 def test_move_generators(request, name):
     group = request.getfixturevalue(name)
     n = group.order
-    gens = search._generating_set(range(n), group.mul, 0)
+    gens, _ = closure(range(n), group.mul, 0)
     assert group.generates(gens)
     autos = search._automorphisms(group)
     assert len(autos) == len(set(autos)) == AUT_ORDERS[name]
@@ -111,7 +112,7 @@ def test_right_multiplication_variant_is_not_an_isomorphism(q8):
     for a non-central a: the convention matters on Q8."""
     e = 0
     fails = 0
-    for a in search._generating_set(range(q8.order), q8.mul, 0):
+    for a in closure(range(q8.order), q8.mul, 0)[0]:
         variant = lambda t01, t10, a=a: (_times(q8, e, a)(t01),  # noqa: E731
                                          _times(q8, q8.inverse(a), e)(t10))
         fails += sum(not _carries(q8, lambda i, g, a=a: (i, q8.mul(a, g) if i == 1 else g),

@@ -1,0 +1,137 @@
+"""An independent verdict checker for m-Cayley digraphs in the hundreds of
+vertices, where the brute-force oracle (n <= 9) cannot reach.
+
+It uses canonical colour refinement (1-WL): each round names a vertex's new
+colour by the rank of its signature (old colour, sorted out-neighbour
+colours, sorted in-neighbour colours) among all signatures, so equal inputs
+get equal names and the colours are isomorphism-invariant (Berkholz,
+Bonsma & Grohe, "Tight lower and upper bounds for the complexity of
+canonical colour refinement", 2017).  The digraph is built here from the
+spec by the arc rule g_i -> (t*g)_j; only the group's ``mul`` comes from
+mpdr.
+
+The argument: R(G) <= Aut is regular on each part, so |Aut| = |G| exactly
+when the stabilizer of 1_0 is trivial and no automorphism sends 1_0 into
+another part.  Individualizing 1_0 and refining to a discrete colouring
+proves the first: an automorphism fixing 1_0 keeps every colour.  For part
+i, an automorphism sending 1_0 to 1_i would carry the refinement from 1_0
+onto the refinement from 1_i, so either the colour histograms differ, or
+both are discrete and the unique candidate map is not an automorphism.
+Then the verdict is positive.  A candidate map that is an automorphism and
+leaves part 0 is an automorphism outside R(G): negative.  Anything else is
+inconclusive; the checker never guesses.
+"""
+
+import collections
+import itertools
+import random
+
+import pytest
+
+from mpdr import ConnectionSpec, FiniteGroup, Permutation, is_pdr
+from mpdr.constructions import cyclic_2pdr, cyclic_mpdr, two_generated_mpdr
+
+
+def refine(out_adj, in_adj, colours):
+    """Canonical colour refinement to a stable colouring."""
+    count = len(set(colours))
+    while count < len(colours):
+        get = colours.__getitem__
+        signatures = [(c, tuple(sorted(map(get, out))), tuple(sorted(map(get, inn))))
+                      for c, out, inn in zip(colours, out_adj, in_adj)]
+        names = {s: k for k, s in enumerate(sorted(set(signatures)))}
+        if len(names) == count:
+            break
+        colours, count = [names[s] for s in signatures], len(names)
+    return colours
+
+
+def check_verdict(group: FiniteGroup, spec: ConnectionSpec) -> str:
+    """'positive' (|Aut| = |G|), 'negative' (|Aut| > |G|) or 'inconclusive'."""
+    n = group.order
+    total = spec.m * n
+    arcs = {(i * n + g, j * n + group.mul(t, g))
+            for i, j, elems in spec.entries for t in elems for g in range(n)}
+    out_adj = [[] for _ in range(total)]
+    in_adj = [[] for _ in range(total)]
+    for u, v in arcs:
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+
+    def individualized(v):
+        colours = [0] * total
+        colours[v] = 1
+        return refine(out_adj, in_adj, colours)
+
+    base = individualized(0)
+    if len(set(base)) < total:
+        return "inconclusive"
+    histogram = collections.Counter(base)
+    for i in range(1, spec.m):
+        other = individualized(i * n)
+        if collections.Counter(other) != histogram:
+            continue  # not discrete: no automorphism sends 1_0 to 1_i
+        vertex_of = {c: w for w, c in enumerate(other)}
+        candidate = [vertex_of[c] for c in base]
+        if {(candidate[u], candidate[v]) for u, v in arcs} == arcs:
+            return "negative" if candidate[0] // n == i else "inconclusive"
+    return "positive"
+
+
+def _perm_group(cycles, degree):
+    return FiniteGroup.from_permutations(
+        degree, [Permutation.from_cycles(c, degree) for c in cycles])
+
+
+def _two_generated(cycles, m):
+    group = _perm_group(cycles, 5)
+    return group, two_generated_mpdr(group, *group.designated_generators, m)
+
+
+def _part_swap(n, u):
+    """T01 = u + T10 over Z_n: the part swap is an extra automorphism."""
+    t01, t10 = (u, 2 * u % n, 4 * u % n), (0, u, 3 * u % n)
+    return FiniteGroup.cyclic(n), ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
+
+
+# The verify-large corpus up to 1,000 vertices, and the symmetric workload's
+# part swap at n = 100.
+CORPUS = {
+    "cyclic-250-m2": lambda: (FiniteGroup.cyclic(250), cyclic_2pdr(250)),
+    "cyclic-500-m2": lambda: (FiniteGroup.cyclic(500), cyclic_2pdr(500)),
+    "cyclic-200-m3": lambda: (FiniteGroup.cyclic(200), cyclic_mpdr(200, 3)),
+    "cyclic-100-m4": lambda: (FiniteGroup.cyclic(100), cyclic_mpdr(100, 4)),
+    "cyclic-50-m5": lambda: (FiniteGroup.cyclic(50), cyclic_mpdr(50, 5)),
+    "S5-m3": lambda: _two_generated(("(0 1 2 3 4)", "(0 1)"), 3),
+    "A5-m4": lambda: _two_generated(("(0 1 2 3 4)", "(0 1 2)"), 4),
+    "swap-100": lambda: _part_swap(100, 1),
+    "swap-100-u7": lambda: _part_swap(100, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_checker_agrees_with_is_pdr(name):
+    group, spec = CORPUS[name]()
+    verdict = check_verdict(group, spec)
+    assert verdict != "inconclusive"
+    report = is_pdr(group, spec)
+    assert (verdict == "positive") == report.is_pdr == (report.aut_order == group.order)
+
+
+def test_checker_never_contradicts_is_pdr_on_small_specs():
+    """Random 2-part valency-3 specs over Z_5 to Z_8, where many digraphs
+    have automorphisms fixing 1_0: every verdict the checker reaches matches
+    the search's order, and each of the three outcomes occurs."""
+    rng = random.Random(9)
+    seen = collections.Counter()
+    for n in (5, 6, 7, 8):
+        group = FiniteGroup.cyclic(n)
+        triples = list(itertools.combinations(range(n), 3))
+        for _ in range(20):
+            spec = ConnectionSpec.from_sets(2, n, {(0, 1): rng.choice(triples),
+                                                   (1, 0): rng.choice(triples)})
+            verdict = check_verdict(group, spec)
+            seen[verdict] += 1
+            if verdict != "inconclusive":
+                assert (verdict == "positive") == (is_pdr(group, spec).aut_order == n)
+    assert set(seen) == {"positive", "negative", "inconclusive"}, seen
