@@ -11,7 +11,7 @@ point, strong generator) pairs whose Schreier generators it has verified,
 so each is sifted once while the level's transversal stands (the
 incremental Schreier-Sims of Seress, *Permutation Group Algorithms*, ch. 4).
 ``OrbitPartition`` is the union-find shared by ``PermGroup.orbits`` and the
-automorphism search; ``closure`` keeps generators by the chain's rule without one.
+automorphism search; ``closure`` keeps generators as the chain does, with no chain.
 """
 
 from __future__ import annotations
