@@ -85,16 +85,25 @@ class ConnectionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> ConnectionSpec:
+        """Parse the ``to_json`` document exactly: no value is coerced."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer too long to read
             raise FormatError(f"connection spec is not valid JSON: {exc}") from exc
         try:
-            entries = tuple((int(e["i"]), int(e["j"]), tuple(int(x) for x in e["elements"]))
-                            for e in doc["sets"])
-            return cls(int(doc["m"]), int(doc["n"]), entries)
+            entries = tuple((_exact(e["i"], int, "i"), _exact(e["j"], int, "j"),
+                             tuple(_exact(x, int, "element")
+                                   for x in _exact(e["elements"], list, "elements")))
+                            for e in _exact(doc["sets"], list, "sets"))
+            return cls(_exact(doc["m"], int, "m"), _exact(doc["n"], int, "n"), entries)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed connection spec document: {exc}") from exc
+
+
+def _exact(value, kind: type, name: str):
+    if type(value) is not kind:  # an isinstance check would pass a bool as an int
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {json.dumps(value)}")
+    return value
 
 
 class MCayleyDigraph:
@@ -109,14 +118,7 @@ class MCayleyDigraph:
                 "m-Cayley constructions here require at least 2 parts")
         self.group = group
         self.spec = spec
-        n = group.order
-        arcs = []
-        for i, j, elems in spec.entries:
-            for t in elems:
-                row = group.row(t)
-                for g in range(n):
-                    arcs.append((i * n + g, j * n + row[g]))
-        self.digraph = Digraph(spec.m * n, arcs, allow_loops=True)
+        self.digraph = Digraph(spec.m * group.order, _arcs(group, spec.entries))
 
     @property
     def n(self) -> int:
@@ -130,8 +132,7 @@ class MCayleyDigraph:
         """The same arcs, each vertex colored by its part index: its
         automorphisms are the part-preserving ones."""
         g = self.digraph
-        return Digraph(g.n, g.arcs(), vertex_color=[v // self.n for v in range(g.n)],
-                       allow_loops=True)
+        return Digraph(g.n, g.arcs(), vertex_color=[v // self.n for v in range(g.n)])
 
     def vertex(self, element: int, part: int) -> int:
         return part * self.n + element
@@ -171,19 +172,24 @@ class MCayleyDigraph:
         return f"MCayleyDigraph(m={self.m}, group_order={self.n})"
 
 
+def _arcs(group: FiniteGroup, entries: Iterable[tuple]) -> list[tuple[int, int]]:
+    n = group.order
+    arcs = []
+    for i, j, elems in entries:
+        for t in elems:
+            row = group.row(t)
+            for g in range(n):
+                arcs.append((i * n + g, j * n + row[g]))
+    return arcs
+
+
 def build_m_cayley(group: FiniteGroup, spec: ConnectionSpec) -> MCayleyDigraph:
     return MCayleyDigraph(group, spec)
 
 
 def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
     """The classical Cayley digraph on the group itself: arcs g -> s*g."""
-    n = group.order
-    arcs = []
-    for s in sorted(set(connection)):
-        row = group.row(s)
-        for g in range(n):
-            arcs.append((g, row[g]))
-    return Digraph(n, arcs, allow_loops=True)
+    return Digraph(group.order, _arcs(group, [(0, 0, sorted(set(connection)))]))
 
 
 def part_swap_automorphism(x: MCayleyDigraph, y: int) -> Permutation:

@@ -198,8 +198,9 @@ def _cmd_construct(args) -> int:
             raise FormatError(f"bad --r list: {args.r!r}") from exc
         _check_elements(group, "--r", connection)
         spec = drr_to_2pdr(group, connection)
-        summary = (f"2-part valency-3 extension of the valency-{len(connection)} "
-                   f"DRR {sorted(set(connection))}")
+        r_set = sorted(set(connection))
+        summary = (f"2-part valency-{len(r_set) + 1} extension of the "
+                   f"valency-{len(r_set)} DRR {r_set}")
     else:  # unreachable: argparse restricts choices
         raise FormatError(f"unknown family {args.family!r}")
 

@@ -2,8 +2,9 @@
 
 Adjacency is stored both as sorted out/in lists and as per-vertex bitsets
 (Python ints), which the automorphism search uses for O(1) arc queries.
-Digraphs are immutable after construction; vertex colors, when present,
-are part of the value, and an automorphism must keep each color class.
+A digraph is its arcs and vertex colors, nothing more: a loop (v, v) is an
+arc like any other.  Digraphs are immutable after construction; colors,
+when present, are part of the value, and automorphisms keep each class.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ HAMILTONIAN_CAP = 16
 
 
 class Digraph:
-    """A digraph on vertices 0..n-1 with no duplicate arcs."""
+    """A digraph on vertices 0..n-1 with no duplicate arcs; loops allowed."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]],
-                 vertex_color: Sequence[int] | None = None,
-                 allow_loops: bool = False):
+                 vertex_color: Sequence[int] | None = None):
         if n < 1:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         self.n = int(n)
@@ -31,8 +31,6 @@ class Digraph:
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v and not allow_loops:
-                raise ValueError(f"self-loop at vertex {u} not permitted")
             if out_bits[u] >> v & 1:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             out_bits[u] |= 1 << v
@@ -105,7 +103,7 @@ class Digraph:
         colors = None
         if self.vertex_color is not None:
             colors = [self.vertex_color[old] for old in mapping]
-        return Digraph(len(mapping), arcs, vertex_color=colors, allow_loops=True), mapping
+        return Digraph(len(mapping), arcs, vertex_color=colors), mapping
 
     def is_oriented(self) -> bool:
         return all(b == 0 for b in self.digon_bits)
@@ -190,26 +188,24 @@ class Digraph:
 
     @classmethod
     def from_text(cls, text: str, check: Callable[[int], None] | None = None) -> Digraph:
-        """Parse the arc-list format: ``n <count>`` then one ``u v`` per line.
-        ``check``, when given, is called with the count before anything is
-        built, so a caller's vertex cap refuses an oversized file unbuilt."""
+        """Parse exactly ``n <count>``, then one ``u v`` per line (``v v`` is a
+        loop).  ``check``, when given, is called with the count before anything
+        is built, so a caller's vertex cap refuses an oversized file unbuilt."""
         lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln]
         if not lines or not lines[0].startswith("n "):
             raise FormatError("digraph text must start with 'n <count>'")
         try:
-            n = int(lines[0].split()[1])
-        except (IndexError, ValueError) as exc:
+            n = int(lines[0][2:])
+        except ValueError as exc:
             raise FormatError(f"bad vertex count line: {lines[0]!r}") from exc
         if check is not None:
             check(n)
         arcs = []
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad arc line: {ln!r}")
             try:
-                arcs.append((int(parts[0]), int(parts[1])))
+                u, v = ln.split()
+                arcs.append((int(u), int(v)))
             except ValueError as exc:
                 raise FormatError(f"bad arc line: {ln!r}") from exc
         try:
@@ -228,9 +224,7 @@ class Digraph:
             out.append(f"  {u} -> {v} [dir=none];")
         for u in range(self.n):
             for v in self.out_adj[u]:
-                if not self.digon_bits[u] >> v & 1 and u != v:
-                    out.append(f"  {u} -> {v};")
-                elif u == v and self.out_bits[u] >> u & 1:
+                if not self.digon_bits[u] >> v & 1:  # a loop is never a digon
                     out.append(f"  {u} -> {v};")
         out.append("}")
         return "\n".join(out) + "\n"

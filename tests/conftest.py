@@ -16,7 +16,7 @@ A5_GENS = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]          # 5-cycle, 3-cycle
 
 def uncolored(digraph: Digraph) -> Digraph:
     """The same arcs without vertex colors: every automorphism counts."""
-    return Digraph(digraph.n, digraph.arcs(), allow_loops=True)
+    return Digraph(digraph.n, digraph.arcs())
 
 
 @pytest.fixture(autouse=True)

@@ -65,8 +65,7 @@ def test_oracle_keeps_the_chains_generators():
         p = rng.choice([0.1, 0.25, 0.5, 0.75])
         arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
         colors = [rng.randint(0, 1) for _ in range(n)] if i % 3 == 0 else None
-        result = brute_force_automorphisms(Digraph(n, arcs, vertex_color=colors,
-                                                   allow_loops=True))
+        result = brute_force_automorphisms(Digraph(n, arcs, vertex_color=colors))
         assert isinstance(result, AutSearchResult)
         assert result.nodes_explored == math.factorial(n)
         assert result.group.generators == result.generators
@@ -121,7 +120,7 @@ def test_soundness_generators_preserve():
 
 
 def test_loops_handled():
-    g = Digraph(3, [(0, 0), (0, 1), (1, 2), (2, 1)], allow_loops=True)
+    g = Digraph(3, [(0, 0), (0, 1), (1, 2), (2, 1)])
     assert automorphisms(g).group.order == brute_force_automorphisms(g).order
 
 
@@ -179,7 +178,7 @@ def test_refinement_matches_definition():
             shifts = rng.sample(range(n), rng.randint(1, min(n, 3)))
             arcs = [(sigma[u], sigma[(u + t) % n]) for u in range(n) for t in shifts]
         colors = [rng.randint(0, 1) for _ in range(n)] if i % 2 else None
-        digraphs.append(Digraph(n, arcs, vertex_color=colors, allow_loops=True))
+        digraphs.append(Digraph(n, arcs, vertex_color=colors))
     swap = {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)}  # T01 = 1 + T10
     specs = [cyclic_2pdr(n) for n in (5, 16)]
     specs += [ConnectionSpec.from_sets(2, n, swap) for n in (5, 7)]
@@ -305,15 +304,14 @@ def relabeled(digraph: Digraph, sigma: list[int]) -> Digraph:
         for v, c in enumerate(digraph.vertex_color):
             colors[sigma[v]] = c
     return Digraph(digraph.n, [(sigma[u], sigma[v]) for u, v in digraph.arcs()],
-                   vertex_color=colors, allow_loops=True)
+                   vertex_color=colors)
 
 
 def disjoint_copies(n: int, arcs, k: int, colors=None) -> Digraph:
     """k disjoint copies of a digraph on n vertices; copy c gets colors[c]."""
     return Digraph(k * n, [(c * n + u, c * n + v) for c in range(k) for u, v in arcs],
                    vertex_color=None if colors is None else [colors[c] for c in range(k)
-                                                             for _ in range(n)],
-                   allow_loops=True)
+                                                             for _ in range(n)])
 
 
 def test_relabeling_invariance_2000_vertices():
@@ -342,7 +340,7 @@ def test_directed_cycle_order(n):
     assert automorphisms(Digraph(n, cycle)).group.order == n
     assert automorphisms(Digraph(n, cycle)).order == n
     # a loop on every vertex changes nothing
-    looped = Digraph(n, cycle + [(i, i) for i in range(n)], allow_loops=True)
+    looped = Digraph(n, cycle + [(i, i) for i in range(n)])
     assert automorphisms(looped).group.order == n
 
 
@@ -364,7 +362,7 @@ RIGID_LOOPED = (3, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 0)])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
 def test_disjoint_rigid_copies_order(k):
     for n, arcs in (RIGID, RIGID_LOOPED):
-        assert automorphisms(Digraph(n, arcs, allow_loops=True)).group.order == 1
+        assert automorphisms(Digraph(n, arcs)).group.order == 1
         assert automorphisms(disjoint_copies(n, arcs, k)).group.order == math.factorial(k)
     # colors split the copies into classes that are permuted independently
     colors = [c % 2 for c in range(k)]

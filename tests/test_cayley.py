@@ -233,11 +233,15 @@ def test_part_swap_property_random_abelian(z2z4):
         assert {(tau(u), tau(v)) for u, v in arcs} == arcs
 
 
-def test_cayley_digraph_plain():
+def test_cayley_digraph_plain(s3):
     z5 = FiniteGroup.cyclic(5)
     g = cayley_digraph(z5, (1, 2))
     assert g.n == 5 and g.is_k_regular(2)
     assert g.has_arc(0, 1) and g.has_arc(0, 2)
+    # left multiplication, and the identity in the set gives a loop at every vertex
+    g = cayley_digraph(s3, (0, 1))
+    assert set(g.arcs()) == {(x, s3.mul(t, x)) for t in (0, 1) for x in range(6)}
+    assert all(g.has_arc(x, x) for x in range(6))
 
 
 def test_vertex_labels():

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import (Digraph, FiniteGroup, FormatError, automorphisms, cyclic_2pdr,
-                  search)
+from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, automorphisms,
+                  build_m_cayley, cyclic_2pdr, search)
 from mpdr.cli import main, parse_group_text
 from test_sweep_pin import RECORD_DIGESTS
 
@@ -173,6 +173,18 @@ def test_construct_drr_extend(capsys, files):
                                   "--group", str(z7), "--r", "1,3"])
     assert code == 0
     assert doc["m"] == 2
+    # the --out summary counts the distinct elements of R: k of them give a
+    # valency-k DRR and a valency-(k+1) spec
+    out = files["tmp"] / "ext.spec"
+    for r, k in [("1", 1), ("1,3", 2), ("1,1,3", 2)]:
+        assert main(["construct", "--family", "drr-extend", "--group", str(z7),
+                     "--r", r, "--out", str(out)]) == 0
+        r_set = sorted(set(int(t) for t in r.split(",")))
+        assert capsys.readouterr().out == (
+            f"2-part valency-{k + 1} extension of the valency-{k} DRR {r_set}\n"
+            f"wrote {out}\n")
+        spec = ConnectionSpec.from_json(out.read_text())
+        assert all(spec.out_valency(i) == spec.in_valency(i) == k + 1 for i in range(2))
 
 
 def test_verify_true_exit_0(capsys, files):
@@ -215,6 +227,29 @@ def test_verify_malformed_spec_exit_3(capsys, files):
     assert main(["verify", "--group", str(files["z3"]), "--spec", str(bad)]) == 3
     missing = files["tmp"] / "nope.spec"
     assert main(["verify", "--group", str(files["z3"]), "--spec", str(missing)]) == 3
+    capsys.readouterr()
+    # numbers must be JSON integers and lists JSON lists: nothing is coerced
+    z6 = files["tmp"] / "z6.grp"
+    z6.write_text("cyclic 6\n")
+    good = {"m": "2", "n": "6", "e01": "[1, 2, 4]", "e10": "[0, 1, 3]"}
+    template = ('{{"m": {m}, "n": {n}, "sets": [{{"i": 0, "j": 1, "elements": {e01}}},'
+                ' {{"i": 1, "j": 0, "elements": {e10}}}]}}')
+    bad.write_text(template.format(**good))
+    assert main(["verify", "--group", str(z6), "--spec", str(bad)]) == 1
+    capsys.readouterr()
+    for key, value in [("m", "1e400"), ("m", "2.7"), ("m", '"2"'), ("m", "true"),
+                       ("m", "2.0"), ("n", "6.0"), ("e01", "[1, 2, 4.9]"),
+                       ("e01", '"124"'), ("e01", "[1, 2, false]"), ("e01", "{}")]:
+        bad.write_text(template.format(**{**good, key: value}))
+        assert main(["verify", "--group", str(z6), "--spec", str(bad)]) == 3, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: malformed connection spec document:")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # an integer too long for json to read
+        bad.write_text(template.format(**{**good, "m": "1" + "0" * limit}))
+        assert main(["verify", "--group", str(z6), "--spec", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("input error: connection spec is not valid JSON:")
 
 
 def test_non_utf8_input_exit_3(capsys, files):
@@ -263,6 +298,22 @@ def test_aut_oracle_agrees(capsys, files):
     _, oracle = run_json(capsys, ["aut", "--digraph", str(files["tri"]), "--oracle"])
     assert fast["aut"]["order"] == oracle["aut"]["order"]
     assert oracle["mode"] == "oracle"
+
+
+def test_aut_digraph_reads_loops(capsys, files):
+    """aut --digraph reads back the loop lines Digraph.to_text writes for a
+    spec with the identity on the diagonal, and reports the order the search
+    gives the built digraph; export draws each loop."""
+    spec = ConnectionSpec.from_sets(2, 3, {(0, 0): (0, 1), (1, 0): (1,)})
+    x = build_m_cayley(FiniteGroup.cyclic(3), spec)
+    path = files["tmp"] / "looped.dg"
+    path.write_text(x.digraph.to_text())
+    code, doc = run_json(capsys, ["aut", "--digraph", str(path)])
+    assert code == 0
+    assert doc["aut"]["order"] == str(automorphisms(x.digraph).order)
+    assert main(["export", "--digraph", str(path)]) == 0
+    dot = capsys.readouterr().out
+    assert all(f"  {v} -> {v};" in dot for v in x.part(0))
 
 
 def test_aut_from_group_and_spec(capsys, files):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from mpdr import CapExceededError, Digraph, FormatError
+from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, FormatError,
+                  build_m_cayley, cayley_digraph)
 
 
-def random_digraph(rng, n, p):
-    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+def random_digraph(rng, n, p, loops=False):
+    arcs = [(u, v) for u in range(n) for v in range(n)
+            if (loops or u != v) and rng.random() < p]
     return Digraph(n, arcs)
 
 
@@ -38,8 +40,11 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         Digraph(3, [(0, 3)])
     with pytest.raises(ValueError):
-        Digraph(3, [(1, 1)])
-    Digraph(3, [(1, 1)], allow_loops=True)
+        Digraph(3, [(1, 1), (1, 1)])
+    # a loop is an arc like any other
+    loop = Digraph(3, [(1, 1)])
+    assert loop.has_arc(1, 1) and loop.arc_count == 1
+    assert loop.out_adj[1] == loop.in_adj[1] == (1,)
 
 
 def test_transpose_consistency():
@@ -145,10 +150,32 @@ def test_hamiltonian_cycle_with_chord():
     assert g.directed_hamiltonian_oriented_cycles() == [(0, 1, 2, 3)]
 
 
-def test_text_roundtrip():
+def test_text_roundtrip(s3):
+    """from_text reads back every digraph to_text writes, loops included:
+    random digraphs, m-Cayley digraphs with and without diagonal sets, and
+    Cayley digraphs."""
     rng = random.Random(8)
-    for _ in range(20):
-        g = random_digraph(rng, rng.randint(1, 9), 0.4)
+    digraphs = [random_digraph(rng, rng.randint(1, 9), 0.4, loops=i >= 20)
+                for i in range(40)]
+    # the non-partite spec of test_cayley's loop test: a loop at each part-0 vertex
+    spec = ConnectionSpec.from_sets(2, 3, {(0, 0): (0, 1), (1, 0): (1,)})
+    digraphs.append(build_m_cayley(FiniteGroup.cyclic(3), spec).digraph)
+    assert "0 0\n" in digraphs[-1].to_text()
+    partite = set()
+    for group in (FiniteGroup.cyclic(6), s3):
+        n = group.order
+        for _ in range(10):
+            m = rng.randint(2, 3)
+            sets = {(i, j): rng.sample(range(n), rng.randint(0, 2))
+                    for i in range(m) for j in range(m) if i != j or rng.random() < 0.5}
+            spec = ConnectionSpec.from_sets(m, n, sets)
+            partite.add(spec.is_partite())
+            digraphs.append(build_m_cayley(group, spec).digraph)
+            digraphs.append(cayley_digraph(group, rng.sample(range(n), rng.randint(1, 3))))
+    assert partite == {True, False}
+    assert any(g.has_arc(v, v) for g in digraphs[20:40] for v in range(g.n))
+    assert any(g.has_arc(v, v) for g in digraphs[41::2] for v in range(g.n))
+    for g in digraphs:
         back = Digraph.from_text(g.to_text())
         assert back.n == g.n and back.arcs() == g.arcs()
 
@@ -162,6 +189,10 @@ def test_text_parse_errors():
         Digraph.from_text("n 3\n0 1 2\n")
     with pytest.raises(FormatError):
         Digraph.from_text("n 3\n0 9\n")
+    with pytest.raises(FormatError, match="bad vertex count line"):
+        Digraph.from_text("n 3 junk\n0 1\n")
+    with pytest.raises(FormatError, match="duplicate arc"):
+        Digraph.from_text("n 3\n1 1\n1 1\n")
 
 
 def test_dot_export_renders_digons_plain():
