@@ -2,8 +2,7 @@
 
 from .autgroup import (AutSearchResult, automorphism_search, automorphisms,
                        brute_force_automorphisms, is_rigid)
-from .cayley import (ConnectionSpec, MCayleyDigraph, build_m_cayley, cayley_digraph,
-                     part_swap_automorphism)
+from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph, part_swap_automorphism
 from .constructions import (audit_valency, cyclic_2pdr, cyclic_mpdr, drr_to_2pdr,
                             find_valency2_orr, two_generated_mpdr)
 from .digraphs import Digraph
@@ -23,7 +22,7 @@ __all__ = [
     "FiniteGroup", "FormatError", "MCayleyDigraph", "MpdrError", "PermGroup",
     "Permutation", "PreconditionError", "SearchExhaustedError", "SearchVerdict",
     "StabilizerCriterionReport", "VerificationReport", "audit_valency",
-    "automorphism_search", "automorphisms", "brute_force_automorphisms", "build_m_cayley",
+    "automorphism_search", "automorphisms", "brute_force_automorphisms",
     "cayley_digraph", "cyclic_2pdr", "cyclic_mpdr", "drr_to_2pdr",
     "exhaust_2partite_valency3", "exhaust_z2_m3_valency3", "find_valency2_drr",
     "find_valency2_orr", "is_pdr", "is_rigid", "is_semiregular", "part_swap_automorphism",

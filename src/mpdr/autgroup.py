@@ -107,7 +107,7 @@ def automorphisms(digraph: Digraph) -> AutSearchResult:
     """|Aut|, its generators and the search statistics, read off the search:
     no stabilizer chain is built unless ``group`` is read."""
     start = time.perf_counter()
-    search = _search(digraph)
+    search = _AutSearch(digraph)
     generators = [Permutation(images) for images in search.run()]
     return AutSearchResult(digraph.n, search.order, generators, search.nodes,
                            time.perf_counter() - start)
@@ -117,7 +117,7 @@ def first_automorphism(digraph: Digraph) -> tuple[int, ...] | None:
     """The first automorphism the search finds, as its tuple of images, or
     None when the group is trivial: the search never yields the identity,
     and it stops at the first one."""
-    images = next(_search(digraph).run(), None)
+    images = next(_AutSearch(digraph).run(), None)
     return None if images is None else tuple(images)
 
 
@@ -135,11 +135,6 @@ def check_vertex_count(n: int, *, brute_force: bool = False) -> None:
     if n > VERTEX_CAP:
         raise CapExceededError(
             f"automorphism search capped at {VERTEX_CAP} vertices, got {n}")
-
-
-def _search(digraph: Digraph) -> _AutSearch:
-    check_vertex_count(digraph.n)
-    return _AutSearch(digraph)
 
 
 def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
@@ -172,9 +167,10 @@ def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
 
 
 class _AutSearch:
-    """One individualize-and-refine run over a fixed digraph."""
+    """One individualize-and-refine run over a digraph within the vertex cap."""
 
     def __init__(self, digraph: Digraph):
+        check_vertex_count(digraph.n)
         self.g = digraph
         n = self.n = digraph.n
         self.out_bits = digraph.out_bits

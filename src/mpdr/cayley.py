@@ -6,8 +6,8 @@ of a vertex is just ``v // n``.  Arcs follow the left-multiplication rule:
 for t in the (i, j) connection set, every g contributes the arc
 ``g_i -> (t*g)_j``.  Right translations ``x_i -> (x*g)_i`` are then always
 automorphisms, which is the structural fact the whole package leans on.
-The built digraph has no vertex colors: whether its automorphisms fix the
-parts is for the search to find.
+``MCayleyDigraph(group, spec)`` builds the digraph, with no vertex colors:
+whether its automorphisms fix the parts is for the search to find.
 """
 
 from __future__ import annotations
@@ -181,10 +181,6 @@ def _arcs(group: FiniteGroup, entries: Iterable[tuple]) -> list[tuple[int, int]]
             for g in range(n):
                 arcs.append((i * n + g, j * n + row[g]))
     return arcs
-
-
-def build_m_cayley(group: FiniteGroup, spec: ConnectionSpec) -> MCayleyDigraph:
-    return MCayleyDigraph(group, spec)
 
 
 def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:

@@ -23,10 +23,10 @@ from typing import Callable
 
 from . import __version__
 from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_count
-from .cayley import ConnectionSpec, MCayleyDigraph, build_m_cayley
+from .cayley import ConnectionSpec, MCayleyDigraph
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
-from .errors import CapExceededError, FormatError, MpdrError, PreconditionError
+from .errors import CapExceededError, FormatError, MpdrError, PreconditionError, parse_int
 from .groups import CLOSURE_CAP, FiniteGroup
 from .perms import Permutation, group_json
 from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
@@ -48,7 +48,7 @@ def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> F
     head = lines[0].split()
     if head[0] == "cyclic" and len(head) == 2:
         try:
-            n = int(head[1])
+            n = parse_int(head[1])
         except ValueError as exc:
             raise FormatError(f"bad cyclic order: {head[1]!r}") from exc
         if len(lines) > 1:
@@ -60,7 +60,7 @@ def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> F
         return FiniteGroup.cyclic(n)
     if head[0] == "perm" and len(head) == 2:
         try:
-            degree = int(head[1])
+            degree = parse_int(head[1])
         except ValueError as exc:
             raise FormatError(f"bad permutation degree: {head[1]!r}") from exc
         gens = [Permutation.from_cycles(ln, degree) for ln in lines[1:]]
@@ -110,19 +110,12 @@ def _load_group(path: str, inputs: dict,
     return parse_group_text(_read(path, "group", inputs), check)
 
 
-def _load_group_and_spec(args, inputs: dict,
-                         check: Callable[[ConnectionSpec, int], None]
+def _load_group_and_spec(args, inputs: dict, check: Callable[[ConnectionSpec, int], None]
                          ) -> tuple[FiniteGroup, ConnectionSpec]:
-    """The --group and --spec files, read in that order.  The spec is read
-    once the group's order is known, and ``check(spec, order)`` is the cap
-    that ``_load_group`` applies."""
-    specs = []
-
-    def load_spec_and_check(order: int) -> None:
-        specs.append(ConnectionSpec.from_json(_read(args.spec, "spec", inputs)))
-        check(specs[0], order)
-
-    return _load_group(args.group, inputs, load_spec_and_check), specs[0]
+    """The --spec and --group files, read in that order, so that
+    ``check(spec, order)`` is the cap that ``_load_group`` applies."""
+    spec = ConnectionSpec.from_json(_read(args.spec, "spec", inputs))
+    return _load_group(args.group, inputs, lambda order: check(spec, order)), spec
 
 
 def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None
@@ -132,16 +125,13 @@ def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None
     called with the vertex count before the digraph is built: from a
     --digraph file's header, or as m * |G| before a ``cyclic <n>`` table.
     --digraph with --group or --spec is refused before any file is read."""
-    def check_spec(spec: ConnectionSpec, order: int) -> None:
-        if check is not None:
-            check(spec.m * order)
-
     if args.digraph:
         _refuse_unread(args, "--digraph")
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
-    x = build_m_cayley(*_load_group_and_spec(args, inputs, check_spec))
+    x = MCayleyDigraph(*_load_group_and_spec(
+        args, inputs, lambda spec, order: check(spec.m * order) if check else None))
     return x.digraph, x
 
 
@@ -193,7 +183,7 @@ def _cmd_construct(args) -> int:
         # every candidate is a 2-part digraph on 2|G| vertices
         group = _load_group(args.group, {}, lambda n: check_vertex_count(2 * n))
         try:
-            connection = tuple(int(tok) for tok in args.r.split(","))
+            connection = tuple(parse_int(tok) for tok in args.r.split(","))
         except ValueError as exc:
             raise FormatError(f"bad --r list: {args.r!r}") from exc
         _check_elements(group, "--r", connection)
@@ -326,11 +316,11 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+def _integer(minimum: int | None = None):
+    """An argparse type: a ``parse_int`` integer, no smaller than ``minimum``."""
     def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+        value = parse_int(text)
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
     return integer
@@ -345,11 +335,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a connection-set spec from a family")
     p.add_argument("--family", required=True,
                    choices=["cyclic-2pdr", "cyclic-mpdr", "two-gen-mpdr", "drr-extend"])
-    p.add_argument("--n", type=_at_least(1), help="cyclic group order")
-    p.add_argument("--m", type=_at_least(1), help="number of parts")
+    p.add_argument("--n", type=_integer(1), help="cyclic group order")
+    p.add_argument("--m", type=_integer(1), help="number of parts")
     p.add_argument("--group", help="group file (for two-gen-mpdr / drr-extend)")
-    p.add_argument("--x", type=int, help="first generator index")
-    p.add_argument("--y", type=int, help="second generator index")
+    p.add_argument("--x", type=_integer(), help="first generator index")
+    p.add_argument("--y", type=_integer(), help="second generator index")
     p.add_argument("--r", help="comma-separated connection set for drr-extend")
     p.add_argument("--out", help="write the spec here instead of stdout")
     p.set_defaults(func=_cmd_construct)
@@ -383,16 +373,16 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive and randomized searches")
     p.add_argument("--problem", required=True,
                    choices=["rigid3", "drr2", "exhaust-negative"])
-    p.add_argument("--m", type=_at_least(1), help="vertex count for rigid3")
+    p.add_argument("--m", type=_integer(1), help="vertex count for rigid3")
     p.add_argument("--mode", choices=["exhaustive", "randomized"],
                    default=_DEFAULTS["mode"])
-    p.add_argument("--budget", type=_at_least(0), default=_DEFAULTS["budget"])
+    p.add_argument("--budget", type=_integer(1), default=_DEFAULTS["budget"])
     p.add_argument("--oriented", action="store_true",
                    help="rigid3 variant: forbid digons")
-    p.add_argument("--jobs", type=_at_least(1), default=_DEFAULTS["jobs"],
+    p.add_argument("--jobs", type=_integer(1), default=_DEFAULTS["jobs"],
                    help="rigid3 exhaustive mode runs one sequential scan: must be 1")
-    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    p.add_argument("--n", type=_at_least(1), help="cyclic order for exhaust-negative")
+    p.add_argument("--seed", type=_integer(), default=_DEFAULTS["seed"])
+    p.add_argument("--n", type=_integer(1), help="cyclic order for exhaust-negative")
     p.add_argument("--group", help="group file")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, parse_int
 
 HAMILTONIAN_CAP = 16
 
@@ -196,7 +196,7 @@ class Digraph:
         if not lines or not lines[0].startswith("n "):
             raise FormatError("digraph text must start with 'n <count>'")
         try:
-            n = int(lines[0][2:])
+            n = parse_int(lines[0][2:].strip())
         except ValueError as exc:
             raise FormatError(f"bad vertex count line: {lines[0]!r}") from exc
         if check is not None:
@@ -205,7 +205,7 @@ class Digraph:
         for ln in lines[1:]:
             try:
                 u, v = ln.split()
-                arcs.append((int(u), int(v)))
+                arcs.append((parse_int(u), parse_int(v)))
             except ValueError as exc:
                 raise FormatError(f"bad arc line: {ln!r}") from exc
         try:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import re
+
+
+def parse_int(text: str) -> int:
+    """``text`` as an integer if it is ASCII ``-?[0-9]+``, else ValueError:
+    ``int`` alone also reads ``+1``, ``1_0``, blanks and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class MpdrError(Exception):

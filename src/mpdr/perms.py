@@ -66,7 +66,7 @@ class Permutation:
         and no point may appear twice, in one cycle or in two.
         """
         stripped = text.strip()
-        if not re.fullmatch(r"(\s*\([\d,\s]*\)\s*)*", stripped):
+        if not re.fullmatch(r"(\s*\([0-9,\s]*\)\s*)*", stripped):
             raise FormatError(f"cannot parse permutation: {text!r}")
         cycles = [[int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
                   for body in _CYCLE_RE.findall(stripped)]

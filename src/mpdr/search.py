@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 
 from .autgroup import automorphisms, first_automorphism
-from .cayley import ConnectionSpec, build_m_cayley, cayley_digraph
+from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph
 from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
@@ -220,7 +220,7 @@ def exhaust_z2_m3_valency3() -> list[tuple[ConnectionSpec, int]]:
 def _aut_orders(group: FiniteGroup, specs) -> list[tuple[ConnectionSpec, int]]:
     """Each spec with the color-blind automorphism order of its m-Cayley
     digraph over the group, built and searched one spec at a time."""
-    return [(spec, automorphisms(build_m_cayley(group, spec).digraph).order)
+    return [(spec, automorphisms(MCayleyDigraph(group, spec).digraph).order)
             for spec in specs]
 
 
@@ -265,12 +265,12 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
     ``oriented``.
 
     Exhaustive mode enumerates every out-neighbor assignment with in-degree
-    pruning (m <= 7) in one deterministic scan; randomized mode draws
-    ``budget`` 3-regular digraphs, dropping the draws that get stuck, and
-    can only answer "witness-found" or "inconclusive".  ``nodes_explored``
-    counts the labelled candidates decided, by a search or by an
-    automorphism already found.  ``jobs`` must be 1 (any other value is
-    refused); exhaustive mode records it in its parameters.
+    pruning (m <= 7) in one deterministic scan; randomized mode (m >= 4)
+    draws ``budget`` >= 1 3-regular digraphs, dropping the draws that get
+    stuck, and can only answer "witness-found" or "inconclusive".
+    ``nodes_explored`` counts the labelled candidates decided, by a search
+    or by an automorphism already found.  ``jobs`` must be 1 (any other
+    value is refused); exhaustive mode records it in its parameters.
     """
     start = time.perf_counter()
     if m < 1:
@@ -290,6 +290,11 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
         if m > RANDOMIZED_RIGID_CAP:
             raise PreconditionError(
                 f"randomized mode capped at m={RANDOMIZED_RIGID_CAP}, got {m}")
+        if m < 4:  # no draw would be kept
+            raise PreconditionError(f"no 3-regular digraph has {m} vertices to draw; "
+                                    "exhaustive mode answers none-exists")
+        if budget < 1:
+            raise PreconditionError(f"randomized budget must be at least 1, got {budget}")
         params["budget"] = budget
         params["seed"] = seed
         witness_arcs, tested = _first_rigid(m, _sampled_rows(m, oriented, budget, seed))

@@ -21,7 +21,7 @@ from .autgroup import AutSearchResult, automorphisms, check_vertex_count
 # Not called here.  The benchmark's tracer test (perfbench/test_perfbench.py)
 # reads it as a name of this module; drop it once that test stops doing so.
 from .autgroup import automorphism_search  # noqa: F401
-from .cayley import ConnectionSpec, MCayleyDigraph, build_m_cayley
+from .cayley import ConnectionSpec, MCayleyDigraph
 from .digraphs import Digraph
 from .errors import PreconditionError
 from .groups import FiniteGroup
@@ -71,7 +71,7 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
     a witness generator lying outside the translation group.
     """
     check_pdr_input(spec, group.order)
-    x = build_m_cayley(group, spec)
+    x = MCayleyDigraph(group, spec)
     aut = automorphisms(x.digraph if color_blind else x.part_colored())
     if aut.order % group.order:
         # R(G) is a subgroup of Aut, so Lagrange's theorem fails only on a

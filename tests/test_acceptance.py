@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from mpdr import (ConnectionSpec, Digraph, FiniteGroup, automorphism_search,
-                  automorphisms, brute_force_automorphisms, build_m_cayley,
+from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph,
+                  automorphism_search, automorphisms, brute_force_automorphisms,
                   cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, exhaust_2partite_valency3,
                   exhaust_z2_m3_valency3, find_valency2_orr, is_pdr, is_semiregular,
                   PreconditionError, stabilizer_criterion_check, translate_relation,
@@ -40,7 +40,7 @@ def corpus(s3, d4, q8, z2z4, a5):
     entries = []
 
     def add(name, group, spec):
-        x = build_m_cayley(group, spec)
+        x = MCayleyDigraph(group, spec)
         aut = automorphism_search(x.digraph).group
         entries.append({"name": name, "group": group, "spec": spec, "x": x,
                         "aut": aut})
@@ -98,7 +98,7 @@ def test_criterion_02_small_cyclic_exhaustive_negative():
 def test_criterion_03_three_step_neighborhood_counts():
     with _Criterion(3, "3-step out-neighborhoods have sizes 8 and 9 for n=9,10,11"):
         for n in (9, 10, 11):
-            x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
+            x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
             assert len(x.digraph.k_step_out_neighborhood(x.vertex(0, 0), 3)) == 8
             assert len(x.digraph.k_step_out_neighborhood(x.vertex(0, 1), 3)) == 9
 
@@ -106,7 +106,7 @@ def test_criterion_03_three_step_neighborhood_counts():
 def test_criterion_04_unique_spanning_digon_free_cycle():
     with _Criterion(4, "order-5 digraph has exactly one digon-free Hamiltonian "
                        "cycle, length 10, the documented sequence"):
-        x = build_m_cayley(FiniteGroup.cyclic(5), cyclic_2pdr(5))
+        x = MCayleyDigraph(FiniteGroup.cyclic(5), cyclic_2pdr(5))
         cycles = x.digraph.directed_hamiltonian_oriented_cycles()
         assert len(cycles) == 1
         assert len(cycles[0]) == 10

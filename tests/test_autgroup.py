@@ -12,8 +12,8 @@ import pytest
 
 from mpdr import autgroup, perms, verify
 from mpdr import (AutSearchResult, CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
-                  PermGroup, VerificationReport, automorphism_search, automorphisms,
-                  brute_force_automorphisms, build_m_cayley, cyclic_2pdr, cyclic_mpdr,
+                  MCayleyDigraph, PermGroup, VerificationReport, automorphism_search,
+                  automorphisms, brute_force_automorphisms, cyclic_2pdr, cyclic_mpdr,
                   exhaust_z2_m3_valency3, is_pdr, is_rigid, part_swap_automorphism,
                   stabilizer_criterion_check, two_generated_mpdr)
 from mpdr.search import _branch_rows
@@ -88,6 +88,15 @@ def test_oracle_builds_no_chain_until_group_is_read(monkeypatch):
 def test_vertex_cap():
     with pytest.raises(CapExceededError, match="2048 vertices"):
         automorphism_search(Digraph(2049, []))
+
+
+def test_search_type_enforces_the_vertex_cap():
+    """Every search constructs ``_AutSearch``, so its constructor is where
+    the cap is checked: no entry point can reach the search around it."""
+    with pytest.raises(CapExceededError, match="2048 vertices, got 2049"):
+        autgroup._AutSearch(Digraph(2049, []))
+    with pytest.raises(CapExceededError, match="2048 vertices, got 2049"):
+        autgroup.first_automorphism(Digraph(2049, []))
 
 
 def test_colors_respected():
@@ -186,7 +195,7 @@ def test_refinement_matches_definition():
     specs += [ConnectionSpec.from_sets(2, n, {(0, 1): (0, 1, 2), (1, 0): (0, n - 2, n - 1)})
               for n in (20, 30)]
     for spec in specs:
-        digraph = build_m_cayley(FiniteGroup.cyclic(spec.group_order), spec).digraph
+        digraph = MCayleyDigraph(FiniteGroup.cyclic(spec.group_order), spec).digraph
         assert any(digraph.digon_bits)
         digraphs.append(digraph)
     for digraph in digraphs:
@@ -210,7 +219,7 @@ def test_cell_order_pinned():
     """A spec whose generators change when the largest fragment of a split
     is dropped as a splitter (plain Hopcroft): that reorders the cells."""
     spec = ConnectionSpec.from_sets(2, 8, {(0, 1): (0, 1, 2), (1, 0): (0, 6, 7)})
-    digraph = build_m_cayley(FiniteGroup.cyclic(8), spec).digraph
+    digraph = MCayleyDigraph(FiniteGroup.cyclic(8), spec).digraph
     result = automorphism_search(digraph)
     assert (result.group.order, result.nodes_explored) == (32, 8)
     assert [g.cycle_string() for g in result.group.generators] == [
@@ -225,11 +234,11 @@ def pinned_search_cases() -> dict[str, Digraph]:
              "3xC7": Digraph(21, [(7 * c + i, 7 * c + (i + 1) % 7)
                                   for c in range(3) for i in range(7)]),
              # the parts as colors
-             "cyclic_2pdr(20)": build_m_cayley(FiniteGroup.cyclic(20),
+             "cyclic_2pdr(20)": MCayleyDigraph(FiniteGroup.cyclic(20),
                                                cyclic_2pdr(20)).part_colored()}
     # T[0,1] = 1 + T[1,0]: a part swap, so Aut is twice R(Z_30) color-blind
     swap = ConnectionSpec.from_sets(2, 30, {(0, 1): (1, 2, 4), (1, 0): (0, 1, 3)})
-    cases["Z30-part-swap"] = build_m_cayley(FiniteGroup.cyclic(30), swap).digraph
+    cases["Z30-part-swap"] = MCayleyDigraph(FiniteGroup.cyclic(30), swap).digraph
     for seed in range(20):
         rng = random.Random(seed)
         n = rng.randint(2, 12)
@@ -319,7 +328,7 @@ def test_relabeling_invariance_2000_vertices():
     generator g must lie in the group found for the image, of equal order.
     The node count is not compared: the witness searches try branches in
     label order, so how many generators are needed depends on the labels."""
-    digraph = build_m_cayley(FiniteGroup.cyclic(1000), cyclic_2pdr(1000)).digraph
+    digraph = MCayleyDigraph(FiniteGroup.cyclic(1000), cyclic_2pdr(1000)).digraph
     assert digraph.n == 2000
     group = automorphisms(digraph).group
     assert group.order == 1000
@@ -397,7 +406,7 @@ def test_vf2_automorphism_counts():
             t = rng.randrange(group.order)
             sets[(0, 1)] = tuple({t, *sets[(0, 1)]})
             sets[(1, 0)] = tuple({-t % group.order, *sets[(1, 0)]})
-            digraph = build_m_cayley(group, ConnectionSpec.from_sets(m, group.order,
+            digraph = MCayleyDigraph(group, ConnectionSpec.from_sets(m, group.order,
                                                                      sets)).part_colored()
         else:
             n = rng.randint(2, 24)
@@ -522,7 +531,7 @@ def chain_report(group: FiniteGroup, spec: ConnectionSpec,
     """is_pdr's report computed from the stabilizer chain of
     ``automorphism_search``, the way is_pdr computed it before it read the
     search's result."""
-    x = build_m_cayley(group, spec)
+    x = MCayleyDigraph(group, spec)
     result = automorphism_search(x.digraph if color_blind else x.part_colored())
     aut = result.group
     valency = x.digraph.regular_valency()
@@ -614,7 +623,7 @@ def test_is_pdr_z3_full_sets_has_witness():
     rep = is_pdr(z3, spec)
     assert not rep.is_pdr
     assert rep.aut_order > 3
-    x = build_m_cayley(z3, spec)
+    x = MCayleyDigraph(z3, spec)
     witness = rep.extra_automorphism_witness
     assert witness is not None
     assert x.digraph.is_automorphism(witness.images)
@@ -660,7 +669,7 @@ def test_report_json_shape():
 
 
 def test_criterion_two_generated_s3(s3):
-    x = build_m_cayley(s3, two_generated_mpdr(s3, 1, 2, 3))
+    x = MCayleyDigraph(s3, two_generated_mpdr(s3, 1, 2, 3))
     rep = stabilizer_criterion_check(x)
     assert rep.connected
     assert all(rep.parts_fixed_setwise)
@@ -671,7 +680,7 @@ def test_criterion_two_generated_s3(s3):
 def test_criterion_z3_parts_swapped():
     z3 = FiniteGroup.cyclic(3)
     spec = ConnectionSpec.from_sets(2, 3, {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)})
-    x = build_m_cayley(z3, spec)
+    x = MCayleyDigraph(z3, spec)
     # the swap from the shifted-sets criterion certifies a part exchange
     part_swap_automorphism(x, 0)
     rep = stabilizer_criterion_check(x)
@@ -683,7 +692,7 @@ def test_criterion_z3_parts_swapped():
 
 def test_criterion_z5():
     z5 = FiniteGroup.cyclic(5)
-    x = build_m_cayley(z5, cyclic_2pdr(5))
+    x = MCayleyDigraph(z5, cyclic_2pdr(5))
     rep = stabilizer_criterion_check(x, [x.vertex(0, 0), x.vertex(0, 1)])
     assert rep.hypotheses_hold and rep.conclusion_holds
 
@@ -691,7 +700,7 @@ def test_criterion_z5():
 def test_criterion_disconnected_is_hypothesis_failure():
     z4 = FiniteGroup.cyclic(4)
     spec = ConnectionSpec.from_sets(2, 4, {(0, 1): (0,), (1, 0): (0,)})
-    x = build_m_cayley(z4, spec)  # disjoint digons
+    x = MCayleyDigraph(z4, spec)  # disjoint digons
     rep = stabilizer_criterion_check(x)
     assert not rep.connected
     assert not rep.hypotheses_hold
@@ -699,7 +708,7 @@ def test_criterion_disconnected_is_hypothesis_failure():
 
 
 def test_criterion_validates_chosen_vertices(s3):
-    x = build_m_cayley(s3, two_generated_mpdr(s3, 1, 2, 3))
+    x = MCayleyDigraph(s3, two_generated_mpdr(s3, 1, 2, 3))
     with pytest.raises(ValueError):
         stabilizer_criterion_check(x, [0, 1])
     with pytest.raises(ValueError):
@@ -720,7 +729,7 @@ def test_criterion_never_violated_on_random_specs():
                 if i != j and rng.random() < 0.6:
                     size = rng.randint(1, n)
                     sets[(i, j)] = tuple(rng.sample(range(n), size))
-        x = build_m_cayley(group, ConnectionSpec.from_sets(m, n, sets))
+        x = MCayleyDigraph(group, ConnectionSpec.from_sets(m, n, sets))
         report = stabilizer_criterion_check(x)
         assert report.consistent, (n, m, sets)
 
@@ -768,7 +777,7 @@ def test_criterion_stabilizers_match_chain(monkeypatch, s3):
     monkeypatch.setattr(verify, "automorphisms", recording)
     cases = 0
     for group, spec in _criterion_corpus(s3):
-        x = build_m_cayley(group, spec)
+        x = MCayleyDigraph(group, spec)
         chain = automorphism_search(x.digraph).group
         searched.clear()
         rep = stabilizer_criterion_check(x)

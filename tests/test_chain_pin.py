@@ -9,8 +9,8 @@ import hashlib
 import json
 import random
 
-from mpdr import (Digraph, FiniteGroup, PermGroup, Permutation, automorphism_search,
-                  build_m_cayley, cyclic_2pdr)
+from mpdr import (Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
+                  automorphism_search, cyclic_2pdr)
 
 ELEMENTS_CAP = 5040
 
@@ -27,7 +27,7 @@ def search_corpus() -> list[tuple[str, Digraph]]:
         cases.append((f"{k}xC7", Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
                                                  for c in range(k) for i in range(7)])))
     for n in (5, 7, 30):
-        x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
+        x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
         cases.append((f"cyclic_2pdr({n})", x.digraph))
     for seed in range(40):
         rng = random.Random(seed)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, automorphisms,
-                  build_m_cayley, cyclic_2pdr, search)
+from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
+                  automorphisms, cyclic_2pdr, search)
 from mpdr.cli import main, parse_group_text
 from test_sweep_pin import RECORD_DIGESTS
 
@@ -87,7 +88,11 @@ def test_parse_group_text_perm():
 
 def test_parse_group_text_comments_and_errors():
     assert parse_group_text("# symmetric\nperm 3\n(0 1 2)\n(0 1)\n").order == 6
-    for bad in ("", "ring 4\n", "cyclic x\n", "cyclic 4\n(0 1)\n", "perm 3\n"):
+    for bad in ("", "ring 4\n", "cyclic x\n", "cyclic 4\n(0 1)\n", "perm 3\n",
+                # an integer is ASCII -?[0-9]+: no sign, underscore or other digits
+                "cyclic 1_0\n", "cyclic \u0661\u0660\n", "cyclic +5\n",
+                "perm +3\n(0 1 2)\n", "perm \uff13\n(0 1 2)\n",
+                "perm 3\n(\u0660 \u0661 \u0662)\n"):
         with pytest.raises(FormatError):
             parse_group_text(bad)
 
@@ -305,7 +310,7 @@ def test_aut_digraph_reads_loops(capsys, files):
     spec with the identity on the diagonal, and reports the order the search
     gives the built digraph; export draws each loop."""
     spec = ConnectionSpec.from_sets(2, 3, {(0, 0): (0, 1), (1, 0): (1,)})
-    x = build_m_cayley(FiniteGroup.cyclic(3), spec)
+    x = MCayleyDigraph(FiniteGroup.cyclic(3), spec)
     path = files["tmp"] / "looped.dg"
     path.write_text(x.digraph.to_text())
     code, doc = run_json(capsys, ["aut", "--digraph", str(path)])
@@ -434,11 +439,15 @@ def test_search_rigid3_readme_example(capsys):
 
 
 def test_search_rigid3_randomized_too_few_vertices(capsys):
-    code, doc = run_json(capsys, ["search", "--problem", "rigid3", "--m", "2",
-                                  "--mode", "randomized"])
-    assert code == 0
-    assert (doc["verdict"], doc["nodes_explored"]) == ("inconclusive", 0)
-    assert capsys.readouterr().err == ""
+    """No 3-regular digraph has fewer than 4 vertices, so randomized mode
+    would test nothing: it refuses (exit 2) and points to exhaustive mode."""
+    for m in ("1", "2", "3"):
+        assert main(["search", "--problem", "rigid3", "--m", m,
+                     "--mode", "randomized"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
+        assert "exhaustive mode answers none-exists" in captured.err
 
 
 def test_search_drr2(capsys, files):
@@ -457,12 +466,23 @@ def test_search_drr2(capsys, files):
     ["--m", "-1"],
     ["--n", "0"],
     ["--n", "-2"],
+    ["--m", "12", "--mode", "randomized", "--budget", "0"],
+    ["--m", "1_0"],
+    ["--m", "\uff15"],
+    ["--m", "+5"],
+    ["--n", "1_0"],
+    ["--m", "6", "--jobs", "+1"],
+    ["--m", "12", "--mode", "randomized", "--seed", "1_0"],
+    ["--m", "12", "--mode", "randomized", "--budget", " 5"],
 ])
 def test_search_rejects_bad_jobs_and_budget(capsys, argv):
     assert main(["search", "--problem", "rigid3", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be at least" in captured.err
+    # an integer is ASCII -?[0-9]+; one below the flag's minimum says so
+    message = ("must be at least" if re.fullmatch(r"-?[0-9]+", argv[-1])
+               else "invalid integer value")
+    assert message in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -482,8 +502,7 @@ def test_oversized_spec_refused_before_build(capsys, monkeypatch, files, command
     def unbuilt(*args, **kwargs):
         raise AssertionError("the digraph was built")
 
-    monkeypatch.setattr("mpdr.cli.build_m_cayley", unbuilt)
-    monkeypatch.setattr("mpdr.verify.build_m_cayley", unbuilt)
+    monkeypatch.setattr(MCayleyDigraph, "__init__", unbuilt)
     big = files["tmp"] / "big.spec"
     big.write_text(json.dumps({"m": 200000, "n": 5,
                                "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]}]}))
@@ -510,7 +529,7 @@ def test_oversized_digraph_refused_before_build(capsys, monkeypatch, files,
         raise AssertionError("the digraph was built")
 
     monkeypatch.setattr("mpdr.digraphs.Digraph.__init__", unbuilt)
-    monkeypatch.setattr("mpdr.cli.build_m_cayley", unbuilt)
+    monkeypatch.setattr(MCayleyDigraph, "__init__", unbuilt)
     if inputs == "digraph":
         big = files["tmp"] / "big.dg"
         big.write_text(f"n {vertices}\n0 1\n")
@@ -551,6 +570,20 @@ def test_oversized_cyclic_group_refused_before_build(capsys, monkeypatch, files,
     assert captured.out == ""
     assert captured.err == ("refused: automorphism search capped at 2048 vertices, "
                             f"got {vertices}\n")
+
+
+def test_verify_reads_the_spec_before_the_group(capsys, files):
+    """--spec is read first, so a malformed spec beside a group over the
+    order cap exits 3 for the spec, before the group file is parsed."""
+    group = files["tmp"] / "z9999.grp"
+    group.write_text("cyclic 9999\n")
+    spec = files["tmp"] / "bad.spec"
+    spec.write_text('{"m": 2, "n": 9999, "sets": [')
+    assert main(["verify", "--group", str(group), "--spec", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: connection spec is not valid JSON")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, refusal", [
@@ -594,6 +627,27 @@ def test_construct_element_flag_out_of_range_exit_3(capsys, files, flags, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {bad} out of range for group order 6\n"
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--family", "two-gen-mpdr", "--m", "3", "--x", "1_0", "--y", "1"],
+     "argument --x: invalid integer value: '1_0'"),
+    (["--family", "two-gen-mpdr", "--m", "3", "--x", "1", "--y", "+2"],
+     "argument --y: invalid integer value: '+2'"),
+    (["--family", "two-gen-mpdr", "--m", "\uff15"],
+     "argument --m: invalid integer value: '\uff15'"),
+    (["--family", "drr-extend", "--r", " 1,+3"], "input error: bad --r list: ' 1,+3'"),
+    (["--family", "drr-extend", "--r", "1,\u0663"], "input error: bad --r list: '1,\u0663'"),
+], ids=["x-underscore", "y-sign", "m-fullwidth", "r-blank-and-sign", "r-arabic-indic"])
+def test_construct_refuses_integers_that_are_not_ascii_digits(capsys, files, flags, bad):
+    """``int`` would read ``1_0``, ``+2``, padded and non-ASCII digits; a
+    flag value reads only ASCII -?[0-9]+ and exits 3 otherwise."""
+    z6 = files["tmp"] / "z6.grp"
+    z6.write_text("cyclic 6\n")
+    assert main(["construct", *flags, "--group", str(z6)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad in captured.err
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -1,7 +1,7 @@
 import pytest
 
-from mpdr import (CapExceededError, FiniteGroup, PreconditionError, audit_valency,
-                  automorphisms, build_m_cayley, cayley_digraph, cyclic_2pdr,
+from mpdr import (CapExceededError, FiniteGroup, MCayleyDigraph, PreconditionError,
+                  audit_valency, automorphisms, cayley_digraph, cyclic_2pdr,
                   cyclic_mpdr, drr_to_2pdr, find_valency2_orr, is_pdr,
                   two_generated_mpdr)
 
@@ -83,7 +83,7 @@ def test_every_emitted_spec_is_partite_3regular_connected():
     for group, spec in zip(groups, specs):
         assert spec.is_partite()
         assert audit_valency(spec) == 3
-        x = build_m_cayley(group, spec)
+        x = MCayleyDigraph(group, spec)
         assert x.digraph.is_k_regular(3)
         assert x.digraph.is_connected("weak")
 
@@ -93,7 +93,7 @@ def test_two_part_neighborhood_towers_distinguish_parts():
     2-step towers: one tower has a vertex sending two arcs back into the
     1-step layer, the other has none."""
     for n in (7, 8):
-        x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
+        x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
 
         def two_arc_senders(root):
             one_step = x.digraph.k_step_out_neighborhood(root, 1)
@@ -112,7 +112,7 @@ def test_two_part_neighborhood_towers_distinguish_parts():
 def test_two_generated_digon_degrees(s3):
     """Middle parts meet two undirected edges per vertex, the two special
     parts exactly one."""
-    x = build_m_cayley(s3, two_generated_mpdr(s3, 1, 2, 4))
+    x = MCayleyDigraph(s3, two_generated_mpdr(s3, 1, 2, 4))
     for i in range(4):
         for v in x.part(i):
             expected = 1 if i in (0, 1) else 2
@@ -123,7 +123,7 @@ def test_order2_four_parts_outer_induced_cycle():
     """The subdigraph induced on parts 0 and 3 is a single digon-free
     directed 4-cycle, so the spanning cycle found there is the only
     directed cycle at all."""
-    x = build_m_cayley(FiniteGroup.cyclic(2), cyclic_mpdr(2, 4))
+    x = MCayleyDigraph(FiniteGroup.cyclic(2), cyclic_mpdr(2, 4))
     outer = list(x.part(0)) + list(x.part(3))
     sub, mapping = x.digraph.induced_subdigraph(outer)
     assert sub.arc_count == 4

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mpdr import (CapExceededError, ConnectionSpec, Digraph, FiniteGroup, FormatError,
-                  build_m_cayley, cayley_digraph)
+                  MCayleyDigraph, cayley_digraph)
 
 
 def random_digraph(rng, n, p, loops=False):
@@ -159,7 +159,7 @@ def test_text_roundtrip(s3):
                 for i in range(40)]
     # the non-partite spec of test_cayley's loop test: a loop at each part-0 vertex
     spec = ConnectionSpec.from_sets(2, 3, {(0, 0): (0, 1), (1, 0): (1,)})
-    digraphs.append(build_m_cayley(FiniteGroup.cyclic(3), spec).digraph)
+    digraphs.append(MCayleyDigraph(FiniteGroup.cyclic(3), spec).digraph)
     assert "0 0\n" in digraphs[-1].to_text()
     partite = set()
     for group in (FiniteGroup.cyclic(6), s3):
@@ -170,7 +170,7 @@ def test_text_roundtrip(s3):
                     for i in range(m) for j in range(m) if i != j or rng.random() < 0.5}
             spec = ConnectionSpec.from_sets(m, n, sets)
             partite.add(spec.is_partite())
-            digraphs.append(build_m_cayley(group, spec).digraph)
+            digraphs.append(MCayleyDigraph(group, spec).digraph)
             digraphs.append(cayley_digraph(group, rng.sample(range(n), rng.randint(1, 3))))
     assert partite == {True, False}
     assert any(g.has_arc(v, v) for g in digraphs[20:40] for v in range(g.n))
@@ -193,6 +193,13 @@ def test_text_parse_errors():
         Digraph.from_text("n 3 junk\n0 1\n")
     with pytest.raises(FormatError, match="duplicate arc"):
         Digraph.from_text("n 3\n1 1\n1 1\n")
+    # an integer is ASCII -?[0-9]+: no sign, underscore or other digits
+    for text in ("n 1_0\n0 1\n", "n +3\n0 1\n", "n \uff13\n0 1\n"):
+        with pytest.raises(FormatError, match="bad vertex count line"):
+            Digraph.from_text(text)
+    for text in ("n 3\n0 +1\n", "n 3\n0 1_0\n", "n 3\n\u0660 1\n"):
+        with pytest.raises(FormatError, match="bad arc line"):
+            Digraph.from_text(text)
 
 
 def test_dot_export_renders_digons_plain():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
-                  automorphisms, build_m_cayley, cyclic_2pdr, perms)
+                  MCayleyDigraph, automorphisms, cyclic_2pdr, perms)
 from test_chain_pin import generator_corpus, search_corpus
 
 
@@ -24,6 +24,10 @@ def test_cycle_parse_errors():
         Permutation.from_cycles("(0 0)", 3)
     with pytest.raises(FormatError):
         Permutation.from_cycles("nonsense", 3)
+    # points are ASCII digits: int() alone would read these
+    for text in ("(\u0660 \u0661 \u0662)", "(0 \uff12)"):
+        with pytest.raises(FormatError, match="cannot parse permutation"):
+            Permutation.from_cycles(text, 3)
 
 
 @pytest.mark.parametrize("text", ["(0 1)(0 2)", "(0 1)(2 1)", "(0)(0)", "(0 1 2)(3 4)(4 0)"])
@@ -279,7 +283,7 @@ def sympy_cases() -> list[tuple[str, PermGroup]]:
             Digraph(7 * k, [(7 * c + i, 7 * c + (i + 1) % 7)
                             for c in range(k) for i in range(7)])).group))
     for n in (5, 8, 13, 21):
-        x = build_m_cayley(FiniteGroup.cyclic(n), cyclic_2pdr(n))
+        x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
         cases.append((f"cyclic_2pdr({n})", automorphisms(x.digraph).group))
     return cases
 

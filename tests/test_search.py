@@ -291,6 +291,14 @@ def test_rigid_caps_and_modes():
     for m, mode in ((0, "exhaustive"), (-1, "exhaustive"), (0, "randomized")):
         with pytest.raises(PreconditionError, match="at least 1 vertex"):
             trivial_aut_3regular_search(m, mode=mode)
+    # randomized mode refuses what would test nothing; exhaustive mode answers
+    for m in (1, 2, 3):
+        with pytest.raises(PreconditionError, match="exhaustive mode answers none-exists"):
+            trivial_aut_3regular_search(m, mode="randomized")
+        assert trivial_aut_3regular_search(m).verdict == "none-exists"
+    for budget in (0, -5):
+        with pytest.raises(PreconditionError, match="budget must be at least 1"):
+            trivial_aut_3regular_search(8, mode="randomized", budget=budget)
 
 
 def _arcs(rows):

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from mpdr import build_m_cayley, search
+from mpdr import MCayleyDigraph, search
 from mpdr.perms import closure, then
 from mpdr.cayley import ConnectionSpec
 
@@ -25,7 +25,7 @@ AUT_ORDERS = {"d4": 8, "q8": 24}
 
 def _arcs(group, t01, t10):
     spec = ConnectionSpec.from_sets(2, group.order, {(0, 1): t01, (1, 0): t10})
-    return set(build_m_cayley(group, spec).digraph.arcs())
+    return set(MCayleyDigraph(group, spec).digraph.arcs())
 
 
 def _sample(group, k=30):
