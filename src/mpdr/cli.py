@@ -26,7 +26,8 @@ from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_cou
 from .cayley import ConnectionSpec, MCayleyDigraph
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
-from .errors import CapExceededError, FormatError, MpdrError, PreconditionError, parse_int
+from .errors import (CapExceededError, FormatError, MpdrError, PreconditionError,
+                     parse_int, read_text)
 from .groups import CLOSURE_CAP, FiniteGroup
 from .perms import Permutation, group_json
 from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
@@ -35,46 +36,31 @@ from .verify import check_pdr_input, is_pdr
 
 
 def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> FiniteGroup:
-    """Parse the group file format: ``cyclic <n>``, or ``perm <degree>``
-    followed by one generator per line in cycle notation.  ``check``, when
-    given, is called once with the group's order, for ``cyclic <n>`` before
-    the table is built, so a caller's cap refuses an oversized group unbuilt
-    (an order above ``CLOSURE_CAP`` is refused by ``FiniteGroup.cyclic``
-    first, without a call); for a permutation group, after its closure."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError("empty group file")
-    head = lines[0].split()
-    if head[0] == "cyclic" and len(head) == 2:
-        try:
-            n = parse_int(head[1])
-        except ValueError as exc:
-            raise FormatError(f"bad cyclic order: {head[1]!r}") from exc
-        if len(lines) > 1:
+    """Parse the group file format, read by ``errors.read_text``: ``cyclic <n>``,
+    or ``perm <degree>`` and one generator per line in cycle notation.  An n or
+    degree above ``CLOSURE_CAP`` is refused unbuilt; else ``check``, if given, gets
+    the order, for ``cyclic <n>`` before the table is built, else after the closure."""
+    kind, n, body = read_text(text, {"cyclic": "cyclic order", "perm": "permutation degree"})
+    if kind == "cyclic":
+        if body:
             raise FormatError("unexpected lines after 'cyclic <n>'")
         if n < 1:
             raise FormatError("cyclic order must be at least 1")
         if check is not None and n <= CLOSURE_CAP:
             check(n)
         return FiniteGroup.cyclic(n)
-    if head[0] == "perm" and len(head) == 2:
-        try:
-            degree = parse_int(head[1])
-        except ValueError as exc:
-            raise FormatError(f"bad permutation degree: {head[1]!r}") from exc
-        gens = [Permutation.from_cycles(ln, degree) for ln in lines[1:]]
-        if not gens:
-            raise FormatError("perm group file needs at least one generator line")
-        try:
-            group = FiniteGroup.from_permutations(degree, gens)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        if check is not None:
-            check(group.order)
-        return group
-    raise FormatError(f"group file must start with 'cyclic <n>' or 'perm <degree>', "
-                      f"got {lines[0]!r}")
+    if n > CLOSURE_CAP:  # a group within the cap acts regularly on |G| points
+        raise CapExceededError(f"permutation degree {n} exceeds cap of {CLOSURE_CAP} points")
+    gens = [Permutation.from_cycles(" ".join(line), n) for line in body]
+    if not gens:
+        raise FormatError("perm group file needs at least one generator line")
+    try:
+        group = FiniteGroup.from_permutations(n, gens)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    if check is not None:
+        check(group.order)
+    return group
 
 
 def _read(path: str, role: str, inputs: dict) -> str:
@@ -93,20 +79,22 @@ def _envelope(inputs: dict) -> dict:
     return {"tool": {"name": "mpdr", "version": __version__}, "inputs": inputs}
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the --out file, or to stdout without one."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
 def _load_group(path: str, inputs: dict,
                 check: Callable[[int], None] | None) -> FiniteGroup:
     """The group of a --group file: the one place a group file is read.
-    ``check`` is the command's cap on |G| (None for none); it runs before a
-    ``cyclic <n>`` group's table is built, and after a permutation group's
-    closure."""
+    ``check`` is the command's cap on |G| (None for none): see ``parse_group_text``."""
     return parse_group_text(_read(path, "group", inputs), check)
 
 
@@ -194,11 +182,9 @@ def _cmd_construct(args) -> int:
     else:  # unreachable: argparse restricts choices
         raise FormatError(f"unknown family {args.family!r}")
 
+    _write(spec.to_json(), args.out)
     if args.out:
-        Path(args.out).write_text(spec.to_json())
         print(f"{summary}\nwrote {args.out}")
-    else:
-        sys.stdout.write(spec.to_json())
     return 0
 
 
@@ -231,11 +217,7 @@ def _cmd_aut(args) -> int:
 def _cmd_export(args) -> int:
     digraph, x = _load_digraph_args(args, {}, None)
     labels = None if x is None else [x.vertex_label(v) for v in range(digraph.n)]
-    text = digraph.to_dot(labels)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(digraph.to_dot(labels), args.out)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, FormatError, parse_int
+from .errors import CapExceededError, FormatError, parse_int, read_text
 
 HAMILTONIAN_CAP = 16
 
@@ -188,26 +188,19 @@ class Digraph:
 
     @classmethod
     def from_text(cls, text: str, check: Callable[[int], None] | None = None) -> Digraph:
-        """Parse exactly ``n <count>``, then one ``u v`` per line (``v v`` is a
-        loop).  ``check``, when given, is called with the count before anything
-        is built, so a caller's vertex cap refuses an oversized file unbuilt."""
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines or not lines[0].startswith("n "):
-            raise FormatError("digraph text must start with 'n <count>'")
-        try:
-            n = parse_int(lines[0][2:].strip())
-        except ValueError as exc:
-            raise FormatError(f"bad vertex count line: {lines[0]!r}") from exc
+        """Parse ``n <count>``, then one ``u v`` per line (``v v`` is a loop), by
+        ``errors.read_text``.  ``check``, when given, is called with the count
+        before anything is built, so a caller's vertex cap refuses it unbuilt."""
+        _, n, body = read_text(text, {"n": "vertex count"})
         if check is not None:
             check(n)
         arcs = []
-        for ln in lines[1:]:
+        for line in body:
             try:
-                u, v = ln.split()
+                u, v = line
                 arcs.append((parse_int(u), parse_int(v)))
             except ValueError as exc:
-                raise FormatError(f"bad arc line: {ln!r}") from exc
+                raise FormatError(f"bad arc line: {' '.join(line)!r}") from exc
         try:
             return cls(n, arcs)
         except ValueError as exc:

@@ -22,7 +22,7 @@ import re
 from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, fields
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -62,14 +62,14 @@ class Permutation:
     def from_cycles(cls, text: str, degree: int) -> Permutation:
         """Parse cycle notation like ``(0 1 2)(3 4)``; ``()`` is the identity.
 
-        Commas or spaces separate points.  Points not mentioned are fixed,
-        and no point may appear twice, in one cycle or in two.
+        Commas, ASCII spaces and tabs separate points.  Points not mentioned
+        are fixed, and no point may appear twice, in one cycle or in two.
         """
-        stripped = text.strip()
-        if not re.fullmatch(r"(\s*\([0-9,\s]*\)\s*)*", stripped):
+        line = " ".join(fields(text))  # one space between fields, none at the ends
+        if not re.fullmatch(r"(\([0-9, ]*\) ?)*", line):
             raise FormatError(f"cannot parse permutation: {text!r}")
-        cycles = [[int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-                  for body in _CYCLE_RE.findall(stripped)]
+        cycles = [[int(point) for point in fields(body.replace(",", " "))]
+                  for body in _CYCLE_RE.findall(line)]
         mentioned = [p for points in cycles for p in points]
         if any(p >= degree for p in mentioned):
             raise FormatError(f"point out of range for degree {degree}: {text!r}")

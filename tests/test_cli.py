@@ -12,6 +12,8 @@ import pytest
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
                   automorphisms, cyclic_2pdr, search)
 from mpdr.cli import main, parse_group_text
+from mpdr.groups import CLOSURE_CAP
+from mpdr.perms import Permutation
 from test_sweep_pin import RECORD_DIGESTS
 
 # Whole CLI documents, keyed by case name: the exit code and the JSON report
@@ -95,6 +97,75 @@ def test_parse_group_text_comments_and_errors():
                 "perm 3\n(\u0660 \u0661 \u0662)\n"):
         with pytest.raises(FormatError):
             parse_group_text(bad)
+
+
+# A valid group file and digraph file, each with a command whose stdout holds
+# no input hash, so a copy that reads alike prints the same bytes.
+TEXT_INPUTS = {
+    "group": ("perm 3\n(0 1 2)\n(0 1)\n",
+              ["construct", "--family", "two-gen-mpdr", "--m", "3", "--group"]),
+    "digraph": ("n 3\n0 1\n1 2\n2 0\n", ["export", "--digraph"]),
+}
+# Each Unicode blank c at the end of the group header, a generator line, the
+# digraph header and an arc line, and, but for U+2028 (which ended a line
+# there), between the fields of each but the digraph header (which already
+# needed an ASCII space): Unicode-aware splitting read each copy as its original.
+UNICODE_BLANK_COPIES = [
+    (kind, copy.format(c=c))
+    for c in ("\u3000", "\u00a0", "\u2028")
+    for kind, copy in [("group", "perm 3{c}\n(0 1 2)\n(0 1)\n"),
+                       ("group", "perm 3\n(0 1 2){c}\n(0 1)\n"),
+                       ("digraph", "n 3{c}\n0 1\n1 2\n2 0\n"),
+                       ("digraph", "n 3\n0 1{c}\n1 2\n2 0\n")]
+    + ([] if c == "\u2028" else [("group", "perm{c}3\n(0 1 2)\n(0 1)\n"),
+                                ("group", "perm 3\n(0{c}1 2)\n(0 1)\n"),
+                                ("digraph", "n 3\n0{c}1\n1 2\n2 0\n")])
+]
+
+
+@pytest.mark.parametrize("kind, copy, reads_alike", [
+    ("group", "perm\t3\n(0\t1 2)\n(0 \t 1)\n", True),
+    ("group", "perm 3\r\n(0 1 2)\r\n(0 1)  # a transposition\r\n", True),
+    ("digraph", "n\t3\n0\t1\n1 \t2\n2 0\n", True),
+    ("digraph", "n 3\r\n0 1\r\n\r\n1 2\r\n2\t0\r\n", True),
+] + [(kind, copy, False) for kind, copy in UNICODE_BLANK_COPIES])
+def test_text_inputs_read_by_one_line_and_field_rule(capsys, tmp_path, kind, copy,
+                                                     reads_alike):
+    """Lines end at \\n or \\r\\n and fields are separated by ASCII spaces and
+    tabs only: tab and CRLF copies print what the original prints, and a copy
+    with any other blank exits 3 with nothing on stdout."""
+    original, argv = TEXT_INPUTS[kind]
+    outputs = []
+    for name, text in (("original", original), ("copy", copy)):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        code = main(argv + [str(path)])
+        outputs.append((code, capsys.readouterr()))
+    (code, expected), (copy_code, got) = outputs
+    assert code == 0 and expected.err == ""
+    if reads_alike:
+        assert (copy_code, got.out, got.err) == (0, expected.out, "")
+    else:
+        assert (copy_code, got.out) == (3, "")
+        assert got.err.startswith("input error:") and got.err.count("\n") == 1
+
+
+def test_perm_degree_above_cap_refused_before_generators(capsys, tmp_path, monkeypatch):
+    """A group within CLOSURE_CAP acts regularly on at most that many points,
+    so a larger degree is refused from the header, no generator parsed."""
+    monkeypatch.setattr(Permutation, "from_cycles", classmethod(
+        lambda cls, text, degree: pytest.fail(f"generator parsed at degree {degree}")))
+    path = tmp_path / "big.grp"
+    path.write_text(f"perm {CLOSURE_CAP + 1}\n(0 1)\n")
+    assert main(["search", "--problem", "drr2", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"refused: permutation degree {CLOSURE_CAP + 1} exceeds cap "
+                            f"of {CLOSURE_CAP} points\n")
+    monkeypatch.undo()
+    path.write_text(f"perm {CLOSURE_CAP}\n(0 1)\n")
+    code, doc = run_json(capsys, ["search", "--problem", "drr2", "--group", str(path)])
+    assert code == 0 and doc["parameters"]["group_order"] == 2
 
 
 def test_construct_to_stdout(capsys, files):

@@ -24,8 +24,8 @@ def test_cycle_parse_errors():
         Permutation.from_cycles("(0 0)", 3)
     with pytest.raises(FormatError):
         Permutation.from_cycles("nonsense", 3)
-    # points are ASCII digits: int() alone would read these
-    for text in ("(\u0660 \u0661 \u0662)", "(0 \uff12)"):
+    # points are ASCII digits, separated by commas, ASCII spaces and tabs only
+    for text in ("(\u0660 \u0661 \u0662)", "(0 \uff12)", "(0\u30001 2)", "(0 1)\u00a0(2 1)"):
         with pytest.raises(FormatError, match="cannot parse permutation"):
             Permutation.from_cycles(text, 3)
 
