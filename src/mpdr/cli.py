@@ -51,7 +51,8 @@ def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> F
         return FiniteGroup.cyclic(n)
     if n > CLOSURE_CAP:  # a group within the cap acts regularly on |G| points
         raise CapExceededError(f"permutation degree {n} exceeds cap of {CLOSURE_CAP} points")
-    gens = [Permutation.from_cycles(" ".join(line), n) for line in body]
+    # a repeated generator line is kept once, so it costs no closure work
+    gens = list(dict.fromkeys(Permutation.from_cycles(" ".join(line), n) for line in body))
     if not gens:
         raise FormatError("perm group file needs at least one generator line")
     try:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, FormatError, parse_int, read_text
-
-HAMILTONIAN_CAP = 16
+from .errors import FormatError, parse_int, read_text
 
 
 class Digraph:
@@ -51,17 +49,8 @@ class Digraph:
 
     # -- basic queries -------------------------------------------------------
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out_bits[u] >> v & 1)
-
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.out_adj[u]]
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
 
     def is_k_regular(self, k: int) -> bool:
         return all(len(self.out_adj[v]) == k and len(self.in_adj[v]) == k
@@ -72,55 +61,21 @@ class Digraph:
         k = len(self.out_adj[0])
         return k if self.is_k_regular(k) else None
 
-    def k_step_out_neighborhood(self, v: int, k: int) -> set[int]:
-        """Vertices reachable by exactly k arc-steps (as a set union, so a
-        vertex reached along several walks is counted once)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        if k < 0:
-            raise ValueError("step count must be non-negative")
-        mask = 1 << v
-        for _ in range(k):
-            new = 0
-            m = mask
-            while m:
-                low = m & -m
-                new |= self.out_bits[low.bit_length() - 1]
-                m ^= low
-            mask = new
-        return set(_bits(mask))
-
-    def induced_subdigraph(self, vertices: Iterable[int]) -> tuple[Digraph, list[int]]:
-        """The subdigraph on the given vertex set, re-indexed 0..|X|-1 in
-        ascending original order; also returns new-index -> old-vertex."""
-        mapping = sorted(set(vertices))
-        if not mapping:
-            raise ValueError("cannot induce on an empty vertex set")
-        if not (0 <= mapping[0] and mapping[-1] < self.n):
-            raise ValueError("vertex out of range")
-        pos = {old: new for new, old in enumerate(mapping)}
-        arcs = [(pos[u], pos[v]) for u in mapping for v in self.out_adj[u] if v in pos]
-        colors = None
-        if self.vertex_color is not None:
-            colors = [self.vertex_color[old] for old in mapping]
-        return Digraph(len(mapping), arcs, vertex_color=colors), mapping
-
-    def is_oriented(self) -> bool:
-        return all(b == 0 for b in self.digon_bits)
-
     def undirected_edges(self) -> list[tuple[int, int]]:
         """All pairs {u, v} joined by arcs both ways, as (u, v) with u < v."""
         return [(u, v) for u in range(self.n) for v in _bits(self.digon_bits[u])
                 if u < v]
 
-    def is_connected(self, mode: str = "weak") -> bool:
-        if mode not in ("weak", "strong"):
-            raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
-        if mode == "weak":
-            step = [self.out_bits[v] | self.in_bits[v] for v in range(self.n)]
-            return _reaches_all(step, 0, self.n)
-        return (_reaches_all(list(self.out_bits), 0, self.n)
-                and _reaches_all(list(self.in_bits), 0, self.n))
+    def is_connected(self) -> bool:
+        """Weak connectivity: every vertex is reached from 0 along arcs
+        taken in either direction."""
+        step = [o | i for o, i in zip(self.out_bits, self.in_bits)]
+        seen, queue = 1, deque([0])
+        while queue:
+            fresh = step[queue.popleft()] & ~seen
+            seen |= fresh
+            queue.extend(_bits(fresh))
+        return seen == (1 << self.n) - 1
 
     # -- automorphism support --------------------------------------------------
 
@@ -139,45 +94,6 @@ class Digraph:
                 if not self.out_bits[iu] >> images[v] & 1:
                     return False
         return True
-
-    # -- cycle search ----------------------------------------------------------
-
-    def directed_hamiltonian_oriented_cycles(self) -> list[tuple[int, ...]]:
-        """All directed Hamiltonian cycles that avoid digon arcs.
-
-        Each cycle is reported once, as the rotation starting at vertex 0
-        (a Hamiltonian cycle always visits vertex 0, and a directed cycle
-        has a single traversal direction, so this is canonical).  Results
-        are sorted lexicographically.
-        """
-        if self.n > HAMILTONIAN_CAP:
-            raise CapExceededError(
-                f"Hamiltonian cycle search capped at {HAMILTONIAN_CAP} vertices")
-        plain = [self.out_bits[v] & ~self.digon_bits[v] & ~(1 << v)
-                 for v in range(self.n)]
-        full = (1 << self.n) - 1
-        found: list[tuple[int, ...]] = []
-        path = [0]
-
-        def extend(visited: int) -> None:
-            here = path[-1]
-            if visited == full:
-                if plain[here] & 1:
-                    found.append(tuple(path))
-                return
-            choices = plain[here] & ~visited
-            while choices:
-                low = choices & -choices
-                v = low.bit_length() - 1
-                choices ^= low
-                path.append(v)
-                extend(visited | low)
-                path.pop()
-
-        if self.n == 1:
-            return []
-        extend(1)
-        return sorted(found)
 
     # -- text formats ------------------------------------------------------------
 
@@ -231,17 +147,3 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _reaches_all(step_bits: list[int], start: int, n: int) -> bool:
-    seen = 1 << start
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        fresh = step_bits[v] & ~seen
-        seen |= fresh
-        while fresh:
-            low = fresh & -fresh
-            queue.append(low.bit_length() - 1)
-            fresh ^= low
-    return seen == (1 << n) - 1

@@ -146,15 +146,6 @@ class FiniteGroup:
         self._check(a)
         return self._inverse[a]
 
-    def element_order(self, a: int) -> int:
-        """Least k >= 1 with a^k = identity."""
-        self._check(a)
-        k, acc = 1, a
-        while acc != 0:
-            acc = self._table[acc][a]
-            k += 1
-        return k
-
     def generates(self, subset: Iterable[int]) -> bool:
         """True iff the closure of the subset (with the identity) is the group."""
         return len(closure(sorted(set(subset)), self.mul, 0)[1]) == self.order

@@ -102,14 +102,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
         out = []

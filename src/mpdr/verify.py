@@ -151,7 +151,7 @@ def stabilizer_criterion_check(
     if aut is None:
         aut = automorphisms(g)
 
-    connected = g.is_connected("weak")
+    connected = g.is_connected()
     parts_fixed = [generators_fix_setwise(aut.generators, part) for part in x.parts()]
     stab_fixes = []
     for u in chosen:

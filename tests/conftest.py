@@ -19,6 +19,53 @@ def uncolored(digraph: Digraph) -> Digraph:
     return Digraph(digraph.n, digraph.arcs())
 
 
+def k_step_out_neighborhood(digraph: Digraph, v: int, k: int) -> set[int]:
+    """Vertices reachable from v by exactly k arc-steps (as a set union, so a
+    vertex reached along several walks is counted once)."""
+    level = {v}
+    for _ in range(k):
+        level = {w for u in level for w in digraph.out_adj[u]}
+    return level
+
+
+def induced_subdigraph(digraph: Digraph, vertices) -> tuple[Digraph, list[int]]:
+    """The subdigraph on the given vertex set, re-indexed 0..|X|-1 in
+    ascending original order; also returns new-index -> old-vertex."""
+    mapping = sorted(set(vertices))
+    pos = {old: new for new, old in enumerate(mapping)}
+    arcs = [(pos[u], pos[v]) for u in mapping for v in digraph.out_adj[u] if v in pos]
+    colors = None
+    if digraph.vertex_color is not None:
+        colors = [digraph.vertex_color[old] for old in mapping]
+    return Digraph(len(mapping), arcs, vertex_color=colors), mapping
+
+
+def hamiltonian_oriented_cycles(digraph: Digraph) -> list[tuple[int, ...]]:
+    """All directed Hamiltonian cycles that use no loop and no digon arc,
+    sorted, each once as the rotation that starts at vertex 0."""
+    n = digraph.n
+    plain = [[w for w in digraph.out_adj[u] if w != u and not digraph.digon_bits[u] >> w & 1]
+             for u in range(n)]
+    found = []
+    paths = [(0,)]
+    while paths:
+        path = paths.pop()
+        if len(path) < n:
+            paths.extend(path + (w,) for w in plain[path[-1]] if w not in path)
+        elif n > 1 and 0 in plain[path[-1]]:
+            found.append(path)
+    return sorted(found)
+
+
+def element_order(group: FiniteGroup, a: int) -> int:
+    """Least k >= 1 with a^k = identity."""
+    k, power = 1, a
+    while power != 0:
+        power = group.mul(power, a)
+        k += 1
+    return k
+
+
 @pytest.fixture(autouse=True)
 def recursion_limit_unchanged():
     """No code path may leave the interpreter's recursion limit changed."""

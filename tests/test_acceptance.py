@@ -16,6 +16,8 @@ from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph,
                   PreconditionError, stabilizer_criterion_check, translate_relation,
                   trivial_aut_3regular_search, two_generated_mpdr)
 
+from conftest import hamiltonian_oriented_cycles, induced_subdigraph, k_step_out_neighborhood
+
 
 class _Criterion:
     def __init__(self, num, desc):
@@ -99,15 +101,15 @@ def test_criterion_03_three_step_neighborhood_counts():
     with _Criterion(3, "3-step out-neighborhoods have sizes 8 and 9 for n=9,10,11"):
         for n in (9, 10, 11):
             x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
-            assert len(x.digraph.k_step_out_neighborhood(x.vertex(0, 0), 3)) == 8
-            assert len(x.digraph.k_step_out_neighborhood(x.vertex(0, 1), 3)) == 9
+            assert len(k_step_out_neighborhood(x.digraph, x.vertex(0, 0), 3)) == 8
+            assert len(k_step_out_neighborhood(x.digraph, x.vertex(0, 1), 3)) == 9
 
 
 def test_criterion_04_unique_spanning_digon_free_cycle():
     with _Criterion(4, "order-5 digraph has exactly one digon-free Hamiltonian "
                        "cycle, length 10, the documented sequence"):
         x = MCayleyDigraph(FiniteGroup.cyclic(5), cyclic_2pdr(5))
-        cycles = x.digraph.directed_hamiltonian_oriented_cycles()
+        cycles = hamiltonian_oriented_cycles(x.digraph)
         assert len(cycles) == 1
         assert len(cycles[0]) == 10
         # 1_0, x_1, x^2_0, x^3_1, x^4_0, 1_1, x_0, x^2_1, x^3_0, x^4_1
@@ -203,7 +205,7 @@ def test_criterion_10_structural_properties(corpus):
             assert translations.orbits() == [list(p) for p in x.parts()]
             assert aut.order % group.order == 0, entry["name"]
             for part in x.parts():
-                sub, _ = x.digraph.induced_subdigraph(part)
+                sub, _ = induced_subdigraph(x.digraph, part)
                 assert sub.arc_count == 0
 
 

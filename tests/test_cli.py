@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -166,6 +167,28 @@ def test_perm_degree_above_cap_refused_before_generators(capsys, tmp_path, monke
     path.write_text(f"perm {CLOSURE_CAP}\n(0 1)\n")
     code, doc = run_json(capsys, ["search", "--problem", "drr2", "--group", str(path)])
     assert code == 0 and doc["parameters"]["group_order"] == 2
+
+
+def test_repeated_generator_lines_read_once(monkeypatch):
+    """A generator line repeated around a second one is read once: the group
+    is that of the file without the repeats, element for element, and the
+    closure is given each generator once."""
+    plain = parse_group_text("perm 6\n(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n")
+    given = []
+    closure = FiniteGroup.from_permutations
+
+    def counted(degree, gens):
+        given.append(list(gens))
+        return closure(degree, given[-1])
+
+    monkeypatch.setattr(FiniteGroup, "from_permutations", staticmethod(counted))
+    repeated = parse_group_text("perm 6\n(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n"
+                                "(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n(0 1 2 3 4 5)\n")
+    assert [g.cycle_string() for g in given[0]] == ["(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)"]
+    assert repeated.order == plain.order == 12
+    assert [repeated.row(a) for a in range(12)] == [plain.row(a) for a in range(12)]
+    assert repeated.labels == plain.labels
+    assert repeated.designated_generators == plain.designated_generators == (1, 2)
 
 
 def test_construct_to_stdout(capsys, files):
@@ -505,7 +528,7 @@ def test_search_rigid3_readme_example(capsys):
     assert code == 0
     assert doc["verdict"] == "witness-found"
     g = Digraph(12, [tuple(a) for a in doc["witness"]["arcs"]])
-    assert g.is_k_regular(3) and g.is_oriented()
+    assert g.is_k_regular(3) and not any(g.digon_bits)
     assert automorphisms(g).group.order == 1
 
 
@@ -818,3 +841,73 @@ def test_console_entry_point(files):
 
 def test_bad_subcommand_exit_3():
     assert main(["frobnicate"]) == 3
+
+
+# Small valid inputs for the contract test below, and the commands that read
+# them; "{name}" stands for the path of file ``name``.  rigid3 keeps its --m
+# and --budget, so that no mutated case runs long.
+CONTRACT_FILES = {
+    "cyclic": "cyclic 5\n",
+    "perm": "perm 3\n(0 1 2)\n(0 1)\n",
+    "spec": cyclic_2pdr(5).to_json(),
+    "digraph": "n 3\n0 1\n1 2\n2 0\n",
+}
+CONTRACT_ARGVS = [
+    ["verify", "--group", "{cyclic}", "--spec", "{spec}"],
+    ["aut", "--digraph", "{digraph}"],
+    ["aut", "--digraph", "{digraph}", "--oracle"],
+    ["aut", "--group", "{cyclic}", "--spec", "{spec}"],
+    ["export", "--digraph", "{digraph}"],
+    ["export", "--group", "{cyclic}", "--spec", "{spec}"],
+    ["construct", "--family", "cyclic-2pdr", "--n", "5"],
+    ["construct", "--family", "cyclic-mpdr", "--n", "4", "--m", "3"],
+    ["construct", "--family", "two-gen-mpdr", "--m", "3", "--group", "{perm}"],
+    ["construct", "--family", "two-gen-mpdr", "--m", "3", "--group", "{perm}",
+     "--x", "1", "--y", "2"],
+    ["construct", "--family", "drr-extend", "--group", "{cyclic}", "--r", "1,2"],
+    ["search", "--problem", "drr2", "--group", "{perm}"],
+    ["search", "--problem", "exhaust-negative", "--n", "4"],
+    ["search", "--problem", "exhaust-negative", "--group", "{perm}"],
+    ["search", "--problem", "rigid3", "--m", "5", "--jobs", "1"],
+    ["search", "--problem", "rigid3", "--m", "8", "--mode", "randomized",
+     "--budget", "20", "--seed", "3"],
+]
+CONTRACT_MUTABLE_FLAGS = ("--n", "--m", "--x", "--y", "--r", "--jobs", "--seed")
+CONTRACT_ALPHABET = ("#", "\r", "-", "_", "7", "\u3000", "\u00a0")
+
+
+def _mutated(rng, text):
+    """``text`` with one character deleted, duplicated or swapped with the
+    next, or one character of CONTRACT_ALPHABET inserted."""
+    i = rng.randrange(len(text))
+    move = rng.randrange(4)
+    if move == 0:
+        return text[:i] + text[i + 1:]
+    if move == 1:
+        return text[:i] + text[i] + text[i:]
+    if move == 2:
+        return text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]
+    return text[:i] + rng.choice(CONTRACT_ALPHABET) + text[i:]
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    """One mutated input file or integer flag value per case: every command
+    returns 0, 1, 2 or 3 and lets no exception escape."""
+    rng = random.Random(26)
+    for case in range(300):
+        argv = rng.choice(CONTRACT_ARGVS)
+        texts = dict(CONTRACT_FILES)
+        files = [a[1:-1] for a in argv if a.startswith("{")]
+        flags = [i + 1 for i, a in enumerate(argv)
+                 if a in CONTRACT_MUTABLE_FLAGS and not (a == "--m" and "rigid3" in argv)]
+        argv = list(argv)
+        target = rng.choice(files + flags)
+        if isinstance(target, int):
+            argv[target] = _mutated(rng, argv[target])
+        else:
+            texts[target] = _mutated(rng, texts[target])
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, newline="")
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        assert main(argv) in (0, 1, 2, 3), (case, argv, texts)
+        capsys.readouterr()

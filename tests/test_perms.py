@@ -47,8 +47,6 @@ def test_composition_convention():
 def test_inverse_and_order():
     p = Permutation.from_cycles("(0 1 2 3 4)", 5)
     assert (p * p.inverse()).is_identity()
-    assert p.order() == 5
-    assert Permutation.from_cycles("(0 1)(2 3 4)", 5).order() == 6
 
 
 def test_not_a_permutation():
