@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .autgroup import automorphisms, brute_force_automorphisms, check_vertex_count
+from .autgroup import (BRUTE_FORCE_CAP, VERTEX_CAP, automorphisms,
+                       brute_force_automorphisms, check_vertex_count)
 from .cayley import ConnectionSpec, MCayleyDigraph
 from .constructions import cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, two_generated_mpdr
 from .digraphs import Digraph
@@ -30,16 +31,19 @@ from .errors import (CapExceededError, FormatError, MpdrError, PreconditionError
                      parse_int, read_text)
 from .groups import CLOSURE_CAP, FiniteGroup
 from .perms import Permutation, group_json
-from .search import (SearchVerdict, check_exhaust_order, exhaust_2partite_valency3,
-                     scan_valency2, translate_relation, trivial_aut_3regular_search)
+from .search import (EXHAUST_ORDER_CAP, SearchVerdict, check_exhaust_order,
+                     exhaust_2partite_valency3, scan_valency2, translate_relation,
+                     trivial_aut_3regular_search)
 from .verify import check_pdr_input, is_pdr
 
 
-def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> FiniteGroup:
+def parse_group_text(text: str, check: Callable[[int], None] | None = None,
+                     max_order: int = CLOSURE_CAP) -> FiniteGroup:
     """Parse the group file format, read by ``errors.read_text``: ``cyclic <n>``,
     or ``perm <degree>`` and one generator per line in cycle notation.  An n or
     degree above ``CLOSURE_CAP`` is refused unbuilt; else ``check``, if given, gets
-    the order, for ``cyclic <n>`` before the table is built, else after the closure."""
+    the order, for ``cyclic <n>`` before the table is built, else after a closure
+    that stops past ``max_order``, the largest order ``check`` passes."""
     kind, n, body = read_text(text, {"cyclic": "cyclic order", "perm": "permutation degree"})
     if kind == "cyclic":
         if body:
@@ -51,12 +55,11 @@ def parse_group_text(text: str, check: Callable[[int], None] | None = None) -> F
         return FiniteGroup.cyclic(n)
     if n > CLOSURE_CAP:  # a group within the cap acts regularly on |G| points
         raise CapExceededError(f"permutation degree {n} exceeds cap of {CLOSURE_CAP} points")
-    # a repeated generator line is kept once, so it costs no closure work
-    gens = list(dict.fromkeys(Permutation.from_cycles(" ".join(line), n) for line in body))
+    gens = [Permutation.from_cycles(" ".join(line), n) for line in body]
     if not gens:
         raise FormatError("perm group file needs at least one generator line")
     try:
-        group = FiniteGroup.from_permutations(n, gens)
+        group = FiniteGroup.from_permutations(n, gens, max_order=max_order)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     if check is not None:
@@ -92,35 +95,38 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-def _load_group(path: str, inputs: dict,
-                check: Callable[[int], None] | None) -> FiniteGroup:
+def _load_group(path: str, inputs: dict, check: Callable[[int], None] | None,
+                max_order: int = CLOSURE_CAP) -> FiniteGroup:
     """The group of a --group file: the one place a group file is read.
-    ``check`` is the command's cap on |G| (None for none): see ``parse_group_text``."""
-    return parse_group_text(_read(path, "group", inputs), check)
+    ``check`` and ``max_order`` are the command's cap on |G|: see ``parse_group_text``."""
+    return parse_group_text(_read(path, "group", inputs), check, max_order)
 
 
-def _load_group_and_spec(args, inputs: dict, check: Callable[[ConnectionSpec, int], None]
-                         ) -> tuple[FiniteGroup, ConnectionSpec]:
-    """The --spec and --group files, read in that order, so that
-    ``check(spec, order)`` is the cap that ``_load_group`` applies."""
+def _load_group_and_spec(args, inputs: dict, check: Callable[[ConnectionSpec, int], None],
+                         max_vertices: int | None) -> tuple[FiniteGroup, ConnectionSpec]:
+    """The --spec and --group files, read in that order, so that ``check(spec,
+    order)`` and ``max_vertices // m`` (None: none) are the cap ``_load_group`` applies."""
     spec = ConnectionSpec.from_json(_read(args.spec, "spec", inputs))
-    return _load_group(args.group, inputs, lambda order: check(spec, order)), spec
+    return _load_group(args.group, inputs, lambda order: check(spec, order),
+                       CLOSURE_CAP if max_vertices is None else max_vertices // spec.m), spec
 
 
-def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None
-                       ) -> tuple[Digraph, MCayleyDigraph | None]:
+def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None,
+                       max_vertices: int | None) -> tuple[Digraph, MCayleyDigraph | None]:
     """The digraph of --digraph, or of --group and --spec, with the m-Cayley
     digraph it was built as (None for --digraph).  ``check``, when given, is
     called with the vertex count before the digraph is built: from a
     --digraph file's header, or as m * |G| before a ``cyclic <n>`` table.
-    --digraph with --group or --spec is refused before any file is read."""
+    ``max_vertices`` is the largest count it passes.  --digraph with --group
+    or --spec is refused before any file is read."""
     if args.digraph:
         _refuse_unread(args, "--digraph")
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
     x = MCayleyDigraph(*_load_group_and_spec(
-        args, inputs, lambda spec, order: check(spec.m * order) if check else None))
+        args, inputs, lambda spec, order: check(spec.m * order) if check else None,
+        max_vertices))
     return x.digraph, x
 
 
@@ -170,7 +176,8 @@ def _cmd_construct(args) -> int:
         if not args.group or not args.r:
             raise FormatError("drr-extend needs --group and --r")
         # every candidate is a 2-part digraph on 2|G| vertices
-        group = _load_group(args.group, {}, lambda n: check_vertex_count(2 * n))
+        group = _load_group(args.group, {}, lambda n: check_vertex_count(2 * n),
+                            VERTEX_CAP // 2)
         try:
             connection = tuple(parse_int(tok) for tok in args.r.split(","))
         except ValueError as exc:
@@ -191,7 +198,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     inputs: dict = {}
-    group, spec = _load_group_and_spec(args, inputs, check_pdr_input)
+    group, spec = _load_group_and_spec(args, inputs, check_pdr_input, VERTEX_CAP)
     report = is_pdr(group, spec, color_blind=not args.parts_as_colors)
     doc = _envelope(inputs)
     doc["report"] = report.to_json_dict()
@@ -202,7 +209,8 @@ def _cmd_verify(args) -> int:
 def _cmd_aut(args) -> int:
     inputs: dict = {}
     digraph, x = _load_digraph_args(
-        args, inputs, lambda n: check_vertex_count(n, brute_force=args.oracle))
+        args, inputs, lambda n: check_vertex_count(n, brute_force=args.oracle),
+        BRUTE_FORCE_CAP if args.oracle else VERTEX_CAP)
     if x is not None:  # the parts are vertex colors
         digraph = x.part_colored()
     doc = _envelope(inputs)
@@ -216,7 +224,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    digraph, x = _load_digraph_args(args, {}, None)
+    digraph, x = _load_digraph_args(args, {}, None, None)
     labels = None if x is None else [x.vertex_label(v) for v in range(digraph.n)]
     _write(digraph.to_dot(labels), args.out)
     return 0
@@ -258,7 +266,8 @@ def _cmd_search(args) -> int:
         if args.group and args.n is not None:
             raise FormatError("exhaust-negative takes --n or --group, not both")
         if args.group:
-            group = _load_group(args.group, inputs, check_exhaust_order)
+            group = _load_group(args.group, inputs, check_exhaust_order,
+                                EXHAUST_ORDER_CAP)
         elif args.n is not None:
             group = parse_group_text(f"cyclic {args.n}", check_exhaust_order)
         else:
@@ -285,7 +294,7 @@ def _cmd_search(args) -> int:
         if not args.group:
             raise FormatError("drr2 needs --group")
         # each Cayley digraph searched has |G| vertices
-        group = _load_group(args.group, inputs, check_vertex_count)
+        group = _load_group(args.group, inputs, check_vertex_count, VERTEX_CAP)
         start = time.perf_counter()
         pair, tested = scan_valency2(group, inverse_free=False)
         verdict = SearchVerdict(

@@ -12,7 +12,7 @@ permutation of a, then the permutation of b".
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 from .perms import Permutation, closure
@@ -24,8 +24,7 @@ class FiniteGroup:
     """A finite group with elements 0..order-1 and identity 0."""
 
     def __init__(self, table: Sequence[Sequence[int]],
-                 designated_generators: Sequence[int] = (),
-                 labels: Sequence[str] | None = None):
+                 designated_generators: Sequence[int] = ()):
         rows = tuple(tuple(row) for row in table)
         n = self.order = len(rows)
         if n < 1:
@@ -40,10 +39,9 @@ class FiniteGroup:
                 raise ValueError(f"element {a} has no two-sided inverse")
         self._table = rows
         self.designated_generators = tuple(int(g) for g in designated_generators)
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.order:
-            raise ValueError("labels length must equal group order")
         self._permutations: tuple[Permutation, ...] | None = None
+        self._name: Callable[[int], str] = str  # see label()
+        self._labels: tuple[str, ...] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -57,23 +55,27 @@ class FiniteGroup:
                 f"group order {n} exceeds cap of {CLOSURE_CAP} elements")
         elems = tuple(range(n))
         table = [elems[a:] + elems[:a] for a in range(n)]
-        labels = ["1"] + ["x" if i == 1 else f"x^{i}" for i in range(1, n)]
-        gens = (1,) if n > 1 else ()
-        return cls(table, designated_generators=gens, labels=labels)
+        group = cls(table, designated_generators=(1,) if n > 1 else ())
+        group._name = lambda i: "1" if i == 0 else "x" if i == 1 else f"x^{i}"
+        return group
 
     @classmethod
     def from_permutations(cls, degree: int,
-                          gens: Iterable[Permutation | Sequence[int]]) -> FiniteGroup:
+                          gens: Iterable[Permutation | Sequence[int]],
+                          *, max_order: int = CLOSURE_CAP) -> FiniteGroup:
         """Enumerate the closure of the given permutations under composition.
 
-        Elements are indexed in discovery order: identity first, then the
-        generators in the order given, then products found breadth-first
-        (right-multiplying each known element by each generator in turn).
-        This makes element indices deterministic and documented.
+        A generator given twice is used once.  Elements are indexed in
+        discovery order: identity first, then the generators in the order
+        given, then products found breadth-first (right-multiplying each
+        known element by each generator in turn).  This makes element
+        indices deterministic and documented.  The closure stops at its
+        first element past ``max_order`` (at most ``CLOSURE_CAP``), the
+        largest order the caller accepts, and raises ``CapExceededError``.
         """
         if degree < 1:
             raise ValueError(f"degree must be at least 1, got {degree}")
-        norm: list[Permutation] = []
+        norm: dict[Permutation, None] = {}
         for g in gens:
             if not isinstance(g, Permutation):
                 try:
@@ -82,23 +84,17 @@ class FiniteGroup:
                     raise ValueError(f"invalid generator permutation: {exc}") from exc
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-            norm.append(g)
+            norm[g] = None
+        cap = min(max_order, CLOSURE_CAP)
 
         ident = Permutation.identity(degree)
         elements: list[Permutation] = [ident]
         index: dict[Permutation, int] = {ident: 0}
-        # each element after the identity is found as elements[p] * norm[k]:
-        # its (p, k) is an edge of the discovery tree
+        # each element after the identity is found as elements[p] * gen k:
+        # its (p, k) is an edge of the discovery tree; the identity's
+        # products are the generators themselves
         found_as: list[tuple[int, int]] = [(0, 0)]
-        gen_indices: list[int] = []
-        for k, g in enumerate(norm):
-            if g not in index:
-                index[g] = len(elements)
-                elements.append(g)
-                found_as.append((0, k))
-            gen_indices.append(index[g])
-
-        # times[k][x] is the index of elements[x] * norm[k]
+        # times[k][x] is the index of elements[x] * gen k
         times: list[list[int]] = [[] for _ in norm]
         cursor = 0
         while cursor < len(elements):
@@ -106,9 +102,9 @@ class FiniteGroup:
             for k, g in enumerate(norm):
                 prod = e * g
                 if prod not in index:
-                    if len(elements) >= CLOSURE_CAP:
+                    if len(elements) >= cap:
                         raise CapExceededError(
-                            f"group closure exceeds cap of {CLOSURE_CAP} elements")
+                            f"group closure exceeds cap of {cap} elements")
                     index[prod] = len(elements)
                     elements.append(prod)
                     found_as.append((cursor, k))
@@ -116,17 +112,15 @@ class FiniteGroup:
             cursor += 1
 
         # Column b maps a to a * b.  Along the tree, a * b = (a * elements[p])
-        # * norm[k], so column b is column p followed by times[k]: integer
+        # * gen k, so column b is column p followed by times[k]: integer
         # lookups, no permutation products.
         columns = [list(range(len(elements)))]
         for p, k in found_as[1:]:
             columns.append(list(map(times[k].__getitem__, columns[p])))
-        table = list(zip(*columns))
-        labels = [p.cycle_string() for p in elements]
-        seen: set[int] = set()
-        designated = [i for i in gen_indices if not (i in seen or seen.add(i))]
-        group = cls(table, designated_generators=tuple(designated), labels=labels)
-        group._permutations = tuple(elements)
+        # times[k][0] is the index of the identity * gen k, gen k's own
+        group = cls(list(zip(*columns)), designated_generators=[t[0] for t in times])
+        perms = group._permutations = tuple(elements)
+        group._name = lambda a: perms[a].cycle_string()
         return group
 
     # -- arithmetic ----------------------------------------------------------
@@ -156,10 +150,13 @@ class FiniteGroup:
                    for a in range(n) for b in range(a + 1, n))
 
     def label(self, a: int) -> str:
+        """The name of element a: ``x^i`` for the i-th power in ``cyclic``,
+        the permutation's cycle string in ``from_permutations``, else the
+        index.  Every name is made on the first call and kept."""
         self._check(a)
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
+        if self._labels is None:
+            self._labels = tuple(map(self._name, range(self.order)))
+        return self._labels[a]
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:

@@ -99,9 +99,6 @@ class Permutation:
     def inverse(self) -> Permutation:
         return Permutation._unchecked(_inverse_images(self.images))
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
         out = []
@@ -377,12 +374,6 @@ class PermGroup:
         for v in range(self.degree):
             buckets.setdefault(classes.find(v), []).append(v)
         return [buckets[r] for r in sorted(buckets)]
-
-    def orbit_of(self, point: int) -> list[int]:
-        for orb in self.orbits():
-            if point in orb:
-                return orb
-        raise ValueError(f"point {point} out of range")
 
     def point_stabilizer(self, point: int) -> PermGroup:
         """The full stabilizer of a point, as its own group.

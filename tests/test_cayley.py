@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpdr import (ConnectionSpec, FiniteGroup, MCayleyDigraph, PermGroup,
+from mpdr import (ConnectionSpec, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
                   PreconditionError, cayley_digraph, is_semiregular,
                   part_swap_automorphism)
 
@@ -116,7 +116,7 @@ def test_nonpartite_diagonal_builds_loops():
 
 def test_right_translation_identity():
     x = MCayleyDigraph(FiniteGroup.cyclic(5), lemma_spec_z5())
-    assert x.right_translation(0).is_identity()
+    assert x.right_translation(0) == Permutation.identity(x.digraph.n)
 
 
 def test_right_translation_moves_within_part():

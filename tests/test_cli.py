@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -172,23 +173,47 @@ def test_perm_degree_above_cap_refused_before_generators(capsys, tmp_path, monke
 def test_repeated_generator_lines_read_once(monkeypatch):
     """A generator line repeated around a second one is read once: the group
     is that of the file without the repeats, element for element, and the
-    closure is given each generator once."""
+    closure multiplies each element by each distinct generator once."""
     plain = parse_group_text("perm 6\n(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n")
-    given = []
-    closure = FiniteGroup.from_permutations
+    products = collections.Counter()
+    mul = Permutation.__mul__
 
-    def counted(degree, gens):
-        given.append(list(gens))
-        return closure(degree, given[-1])
+    def counted(p, q):
+        products[q.cycle_string()] += 1
+        return mul(p, q)
 
-    monkeypatch.setattr(FiniteGroup, "from_permutations", staticmethod(counted))
+    monkeypatch.setattr(Permutation, "__mul__", counted)
     repeated = parse_group_text("perm 6\n(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n"
                                 "(0 1 2 3 4 5)\n(0 5)(1 4)(2 3)\n(0 1 2 3 4 5)\n")
-    assert [g.cycle_string() for g in given[0]] == ["(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)"]
+    monkeypatch.undo()
+    assert products == {"(0 1 2 3 4 5)": 12, "(0 5)(1 4)(2 3)": 12}
     assert repeated.order == plain.order == 12
     assert [repeated.row(a) for a in range(12)] == [plain.row(a) for a in range(12)]
-    assert repeated.labels == plain.labels
+    assert ([repeated.label(a) for a in range(12)]
+            == [plain.label(a) for a in range(12)])
     assert repeated.designated_generators == plain.designated_generators == (1, 2)
+
+
+def test_perm_closure_stops_past_command_cap(capsys, monkeypatch, tmp_path):
+    """drr2 searches Cayley digraphs on |G| vertices, at most 2048: the
+    closure of a 5000-cycle stops by its 2049th element, not at 5000."""
+    products = 0
+    mul = Permutation.__mul__
+
+    def counted(p, q):
+        nonlocal products
+        products += 1
+        if products > 2049:
+            pytest.fail("the closure ran past 2049 elements")
+        return mul(p, q)
+
+    path = tmp_path / "c5000.grp"
+    path.write_text("perm 5000\n(" + " ".join(map(str, range(5000))) + ")\n")
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    assert main(["search", "--problem", "drr2", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: group closure exceeds cap of 2048 elements\n"
 
 
 def test_construct_to_stdout(capsys, files):
@@ -484,6 +509,58 @@ def test_export_dot_digon_rendering(capsys, files):
     arrows = [ln for ln in out.splitlines()
               if "->" in ln and "dir=none" not in ln and "label" not in ln]
     assert len(arrows) == 24 - 2 * 10  # one-way arcs
+
+
+# export of a two-part spec over the S3 group file: each vertex is named by
+# its element's cycle string and its part.
+S3_DOT = """digraph {
+  0 [label="()_0"];
+  1 [label="(0 1 2)_0"];
+  2 [label="(0 1)_0"];
+  3 [label="(0 2 1)_0"];
+  4 [label="(1 2)_0"];
+  5 [label="(0 2)_0"];
+  6 [label="()_1"];
+  7 [label="(0 1 2)_1"];
+  8 [label="(0 1)_1"];
+  9 [label="(0 2 1)_1"];
+  10 [label="(1 2)_1"];
+  11 [label="(0 2)_1"];
+  0 -> 6 [dir=none];
+  1 -> 7 [dir=none];
+  2 -> 8 [dir=none];
+  3 -> 9 [dir=none];
+  4 -> 10 [dir=none];
+  5 -> 11 [dir=none];
+  0 -> 7;
+  0 -> 8;
+  1 -> 9;
+  1 -> 11;
+  2 -> 6;
+  2 -> 10;
+  3 -> 6;
+  3 -> 10;
+  4 -> 9;
+  4 -> 11;
+  5 -> 7;
+  5 -> 8;
+  6 -> 4;
+  7 -> 2;
+  8 -> 1;
+  9 -> 5;
+  10 -> 0;
+  11 -> 3;
+}
+"""
+
+
+def test_export_dot_over_perm_group_pinned(capsys, files):
+    spec = files["tmp"] / "s3.spec"
+    spec.write_text(json.dumps({"m": 2, "n": 6,
+                                "sets": [{"i": 0, "j": 1, "elements": [0, 1, 2]},
+                                         {"i": 1, "j": 0, "elements": [0, 4]}]}))
+    assert main(["export", "--group", str(files["s3"]), "--spec", str(spec)]) == 0
+    assert capsys.readouterr().out == S3_DOT
 
 
 def test_search_exhaust_negative(capsys, files):

@@ -46,7 +46,7 @@ def test_composition_convention():
 
 def test_inverse_and_order():
     p = Permutation.from_cycles("(0 1 2 3 4)", 5)
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(5)
 
 
 def test_not_a_permutation():
@@ -176,9 +176,9 @@ def test_orbit_stabilizer_relation():
             rng.shuffle(images)
             gens.append(Permutation(images))
         g = PermGroup(7, gens)
-        for v in range(7):
-            orbit = g.orbit_of(v)
-            assert g.order == len(orbit) * g.point_stabilizer(v).order
+        for orbit in g.orbits():
+            for v in orbit:
+                assert g.order == len(orbit) * g.point_stabilizer(v).order
 
 
 def test_orbits():
