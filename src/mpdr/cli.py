@@ -120,7 +120,7 @@ def _load_digraph_args(args, inputs: dict, check: Callable[[int], None] | None,
     ``max_vertices`` is the largest count it passes.  --digraph with --group
     or --spec is refused before any file is read."""
     if args.digraph:
-        _refuse_unread(args, "--digraph")
+        _check_flags(args, "--digraph")
         return Digraph.from_text(_read(args.digraph, "digraph", inputs), check), None
     if not (args.group and args.spec):
         raise FormatError("need either --digraph or both --group and --spec")
@@ -142,20 +142,14 @@ def _check_elements(group: FiniteGroup, flag: str, elements) -> None:
 
 
 def _cmd_construct(args) -> int:
-    _refuse_unread(args, args.family)
+    _check_flags(args, args.family)
     if args.family == "cyclic-2pdr":
-        if args.n is None:
-            raise FormatError("cyclic-2pdr needs --n")
         spec = cyclic_2pdr(args.n)
         summary = f"2-part valency-3 spec for cyclic group of order {args.n}"
     elif args.family == "cyclic-mpdr":
-        if args.n is None or args.m is None:
-            raise FormatError("cyclic-mpdr needs --n and --m")
         spec = cyclic_mpdr(args.n, args.m)
         summary = f"{args.m}-part valency-3 spec for cyclic group of order {args.n}"
     elif args.family == "two-gen-mpdr":
-        if not args.group or args.m is None:
-            raise FormatError("two-gen-mpdr needs --group and --m")
         group = _load_group(args.group, {}, None)
         if (args.x is None) != (args.y is None):
             raise FormatError("two-gen-mpdr needs both --x and --y, or neither")
@@ -173,8 +167,6 @@ def _cmd_construct(args) -> int:
         summary = (f"{args.m}-part valency-3 spec for group of order {group.order} "
                    f"with generators {x}, {y}")
     elif args.family == "drr-extend":
-        if not args.group or not args.r:
-            raise FormatError("drr-extend needs --group and --r")
         # every candidate is a 2-part digraph on 2|G| vertices
         group = _load_group(args.group, {}, lambda n: check_vertex_count(2 * n),
                             VERTEX_CAP // 2)
@@ -231,36 +223,45 @@ def _cmd_export(args) -> int:
 
 
 # The flags each search problem (and rigid3 mode), each construct family and
-# an aut or export --digraph reads, and the default of every flag these
-# commands take: a flag that is not read is refused, not dropped.
+# an aut or export --digraph needs, in the order its refusal names them, and
+# the others it reads; and the default of every flag these commands take.  A
+# flag that is not read is refused, not dropped, and so is a needed flag left
+# out or given empty.
 _READS = {
-    "exhaust-negative": {"n", "group"},
-    "rigid3 exhaustive mode": {"m", "mode", "oriented", "jobs"},
-    "rigid3 randomized mode": {"m", "mode", "oriented", "budget", "seed"},
-    "drr2": {"group"},
-    "cyclic-2pdr": {"n"},
-    "cyclic-mpdr": {"n", "m"},
-    "two-gen-mpdr": {"group", "m", "x", "y"},
-    "drr-extend": {"group", "r"},
-    "--digraph": set(),
+    "exhaust-negative": ((), {"n", "group"}),
+    "rigid3 exhaustive mode": (("m",), {"mode", "oriented", "jobs"}),
+    "rigid3 randomized mode": (("m",), {"mode", "oriented", "budget", "seed"}),
+    "drr2": (("group",), set()),
+    "cyclic-2pdr": (("n",), set()),
+    "cyclic-mpdr": (("n", "m"), set()),
+    "two-gen-mpdr": (("group", "m"), {"x", "y"}),
+    "drr-extend": (("group", "r"), set()),
+    "--digraph": ((), set()),
 }
 _DEFAULTS = {"m": None, "mode": "exhaustive", "budget": 1000, "oriented": False,
              "jobs": 1, "seed": 0, "n": None, "group": None, "x": None, "y": None,
              "r": None, "spec": None}
 
 
-def _refuse_unread(args, what: str) -> None:
+def _check_flags(args, what: str) -> None:
     """Refuse every flag ``what`` does not read that was given a value other
-    than its default (a flag the command lacks is at its default)."""
+    than its default (a flag the command lacks is at its default), then any
+    flag it needs that is None or empty, naming all it needs and the family
+    or problem (``rigid3``, not its mode)."""
+    needs, reads = _READS[what]
+    reads = {*needs, *reads}
     unread = [f"--{name}" for name, default in _DEFAULTS.items()
-              if name not in _READS[what] and getattr(args, name, default) != default]
+              if name not in reads and getattr(args, name, default) != default]
     if unread:
         raise FormatError(f"{what} does not take {', '.join(unread)}")
+    if any(getattr(args, name) in (None, "") for name in needs):
+        needed = " and ".join(f"--{name}" for name in needs)
+        raise FormatError(f"{what.split()[0]} needs {needed}")
 
 
 def _cmd_search(args) -> int:
-    _refuse_unread(args, f"rigid3 {args.mode} mode" if args.problem == "rigid3"
-                   else args.problem)
+    _check_flags(args, f"rigid3 {args.mode} mode" if args.problem == "rigid3"
+                 else args.problem)
     inputs: dict = {}
     if args.problem == "exhaust-negative":
         if args.group and args.n is not None:
@@ -285,14 +286,10 @@ def _cmd_search(args) -> int:
         _emit(doc, args.out)
         return 0
     if args.problem == "rigid3":
-        if args.m is None:
-            raise FormatError("rigid3 needs --m")
         verdict = trivial_aut_3regular_search(
             args.m, args.mode, budget=args.budget, oriented=args.oriented,
             jobs=args.jobs, seed=args.seed)
     else:  # drr2
-        if not args.group:
-            raise FormatError("drr2 needs --group")
         # each Cayley digraph searched has |G| vertices
         group = _load_group(args.group, inputs, check_vertex_count, VERTEX_CAP)
         start = time.perf_counter()

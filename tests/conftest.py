@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -55,6 +56,16 @@ def hamiltonian_oriented_cycles(digraph: Digraph) -> list[tuple[int, ...]]:
         elif n > 1 and 0 in plain[path[-1]]:
             found.append(path)
     return sorted(found)
+
+
+def assert_refused(call, refusal) -> None:
+    """``call()`` refuses as ``refusal`` says: it returns False when
+    ``refusal`` is False, else raises ``refusal``'s type with its message."""
+    if refusal is False:
+        assert call() is False
+    else:
+        with pytest.raises(type(refusal), match=f"^{re.escape(str(refusal))}$"):
+            call()
 
 
 def element_order(group: FiniteGroup, a: int) -> int:

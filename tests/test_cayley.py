@@ -6,7 +6,7 @@ from mpdr import (ConnectionSpec, FiniteGroup, MCayleyDigraph, PermGroup, Permut
                   PreconditionError, cayley_digraph, is_semiregular,
                   part_swap_automorphism)
 
-from conftest import induced_subdigraph
+from conftest import assert_refused, induced_subdigraph
 
 
 def lemma_spec_z5():
@@ -77,6 +77,16 @@ def test_build_empty_spec():
 def test_build_errors():
     with pytest.raises(PreconditionError):
         MCayleyDigraph(FiniteGroup.cyclic(4), lemma_spec_z5())
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: ConnectionSpec(0, 5, ()), ValueError("part count must be at least 1, got 0")),
+    (lambda: ConnectionSpec(2, 0, ()), ValueError("group order must be at least 1")),
+    (lambda: MCayleyDigraph(FiniteGroup.cyclic(6), lemma_spec_z5()),
+     PreconditionError("spec is over a group of order 5, got 6")),
+], ids=["no-parts", "empty-group", "wrong-group-order"])
+def test_spec_and_build_refusals(call, refusal):
+    assert_refused(call, refusal)
 
 
 def test_degree_sums_match_spec():

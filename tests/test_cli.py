@@ -908,6 +908,58 @@ def test_search_missing_args(capsys, files):
     assert main(["search", "--problem", "exhaust-negative"]) == 3
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (["construct", "--family", "cyclic-2pdr"], "cyclic-2pdr needs --n"),
+    (["construct", "--family", "cyclic-mpdr", "--n", "5"], "cyclic-mpdr needs --n and --m"),
+    (["construct", "--family", "two-gen-mpdr", "--group", "z5"],
+     "two-gen-mpdr needs --group and --m"),
+    (["construct", "--family", "two-gen-mpdr", "--group=", "--m", "3"],
+     "two-gen-mpdr needs --group and --m"),
+    (["construct", "--family", "drr-extend", "--group", "z5"],
+     "drr-extend needs --group and --r"),
+    (["construct", "--family", "drr-extend", "--group", "z5", "--r="],
+     "drr-extend needs --group and --r"),
+    (["search", "--problem", "rigid3", "--mode", "randomized"], "rigid3 needs --m"),
+    (["search", "--problem", "drr2"], "drr2 needs --group"),
+    (["search", "--problem", "drr2", "--group="], "drr2 needs --group"),
+], ids=["cyclic-2pdr", "cyclic-mpdr", "two-gen-mpdr", "two-gen-mpdr-empty-group",
+        "drr-extend", "drr-extend-empty-r", "rigid3", "drr2", "drr2-empty-group"])
+def test_missing_or_empty_needed_flag_refused(capsys, files, argv, needs):
+    """A family or problem left without a flag it needs, or given it empty,
+    names every flag it needs, in order, and writes nothing."""
+    assert main([str(files[a]) if a == "z5" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {needs}\n"
+
+
+@pytest.mark.parametrize("argv, group, code, err", [
+    (["search", "--problem", "drr2"], "cyclic 0\n", 3,
+     "input error: cyclic order must be at least 1"),
+    (["search", "--problem", "drr2"], "perm 0\n()\n", 3,
+     "input error: degree must be at least 1, got 0"),
+    (["aut"], None, 3, "input error: need either --digraph or both --group and --spec"),
+    (["export"], None, 3, "input error: need either --digraph or both --group and --spec"),
+    (["construct", "--family", "two-gen-mpdr", "--m", "3", "--x", "1"], "cyclic 5\n", 3,
+     "input error: two-gen-mpdr needs both --x and --y, or neither"),
+    (["construct", "--family", "two-gen-mpdr", "--m", "3"], "cyclic 5\n", 2,
+     "refused: two-gen-mpdr needs two generators; pass --x and --y or use a group "
+     "file with at least two generator lines"),
+], ids=["cyclic-0", "perm-0", "aut-no-input", "export-no-input", "x-without-y",
+        "one-generator"])
+def test_group_file_and_either_or_refusals(capsys, tmp_path, argv, group, code, err):
+    """Refusals of a group file's header and of the flags that come in pairs
+    or as alternatives: one line on stderr, nothing on stdout."""
+    if group is not None:
+        path = tmp_path / "g.grp"
+        path.write_text(group)
+        argv = [*argv, "--group", str(path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{err}\n"
+
+
 def test_console_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "mpdr", "aut", "--digraph", str(files["tri"])],

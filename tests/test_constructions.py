@@ -208,6 +208,8 @@ def test_drr_to_2pdr_z7():
 
 def test_drr_to_2pdr_preconditions():
     z7 = FiniteGroup.cyclic(7)
+    with pytest.raises(PreconditionError, match="^the connection set must be nonempty$"):
+        drr_to_2pdr(z7, ())
     with pytest.raises(PreconditionError, match="identity"):
         drr_to_2pdr(z7, (0, 1))
     with pytest.raises(PreconditionError, match=r"\|R\| < \|G\|/2"):

@@ -5,7 +5,7 @@ import pytest
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
                   cayley_digraph)
 
-from conftest import hamiltonian_oriented_cycles, induced_subdigraph, k_step_out_neighborhood
+from conftest import assert_refused, hamiltonian_oriented_cycles, induced_subdigraph, k_step_out_neighborhood
 
 
 def random_digraph(rng, n, p, loops=False):
@@ -211,3 +211,14 @@ def test_is_automorphism():
     colored = Digraph(3, [(0, 1), (1, 2), (2, 0)], vertex_color=[0, 1, 1])
     assert not colored.is_automorphism([1, 2, 0])
     assert Digraph(3, colored.arcs()).is_automorphism([1, 2, 0])
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: Digraph(3, [(0, 1)], vertex_color=[0, 1]),
+     ValueError("vertex_color length must equal n")),
+    # the swap keeps the digon's arcs but not its colors
+    (lambda: Digraph(2, [(0, 1), (1, 0)], vertex_color=[0, 1]).is_automorphism([1, 0]),
+     False),
+], ids=["short-vertex-color", "color-swap"])
+def test_digraph_refusals(call, refusal):
+    assert_refused(call, refusal)

@@ -8,7 +8,8 @@ import pytest
 from mpdr import CapExceededError, FiniteGroup, Permutation
 from mpdr.groups import CLOSURE_CAP
 
-from conftest import A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS, element_order
+from conftest import (A5_GENS, D4_GENS, Q8_GENS, S3_GENS, Z2Z4_GENS, assert_refused,
+                      element_order)
 
 
 def check_axioms(group, exhaustive_limit=60, samples=2000, seed=0):
@@ -67,6 +68,16 @@ def test_invalid_order():
 def test_bad_table_rejected(table, message):
     with pytest.raises(ValueError, match=message):
         FiniteGroup(table)
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: FiniteGroup.from_permutations(0, []),
+     ValueError("degree must be at least 1, got 0")),
+    (lambda: FiniteGroup.from_permutations(3, [Permutation([1, 0])]),
+     ValueError("generator degree 2 != 3")),
+], ids=["degree-0", "generator-degree"])
+def test_from_permutations_refusals(call, refusal):
+    assert_refused(call, refusal)
 
 
 def test_cyclic_table_and_inverses():

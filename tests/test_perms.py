@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import (Digraph, FiniteGroup, FormatError, PermGroup, Permutation,
-                  MCayleyDigraph, automorphisms, cyclic_2pdr, perms)
+from mpdr import (CapExceededError, Digraph, FiniteGroup, FormatError, PermGroup,
+                  Permutation, MCayleyDigraph, automorphisms, cyclic_2pdr, perms)
+from conftest import assert_refused
 from test_chain_pin import generator_corpus, search_corpus
 
 
@@ -224,6 +225,26 @@ def test_point_stabilizer_of_fixed_point():
     stab = g.point_stabilizer(0)
     assert stab.order == 4
     assert stab.generators == g.generators
+
+
+Z3 = [Permutation([1, 2, 0])]
+S10 = [Permutation(list(range(1, 10)) + [0]), Permutation.from_cycles("(0 1)", 10)]
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: PermGroup(3, [Permutation([1, 0])]),
+     ValueError("generator degree 2 != group degree 3")),
+    (lambda: PermGroup(3, Z3).contains(Permutation([1, 0])), False),
+    (lambda: PermGroup(3, Z3).point_stabilizer(3),
+     ValueError("point 3 out of range for degree 3")),
+    (lambda: PermGroup(10, S10).elements(),
+     CapExceededError("refusing to enumerate 3628800 elements")),
+    (lambda: setattr(Permutation([1, 0]), "images", (0, 1)),
+     AttributeError("Permutation is immutable")),
+], ids=["generator-degree", "contains-other-degree", "stabilizer-point-out-of-range",
+        "elements-over-cap", "immutable"])
+def test_perm_group_refusals(call, refusal):
+    assert_refused(call, refusal)
 
 
 def pinned_chain_outputs() -> dict[str, list[str]]:
