@@ -1,10 +1,10 @@
 """m-partite Cayley digraphs and digraphical representation checking."""
 
 from .autgroup import (AutSearchResult, automorphism_search, automorphisms,
-                       brute_force_automorphisms, is_rigid)
+                       brute_force_automorphisms)
 from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph, part_swap_automorphism
-from .constructions import (audit_valency, cyclic_2pdr, cyclic_mpdr, drr_to_2pdr,
-                            find_valency2_orr, two_generated_mpdr)
+from .constructions import (cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, find_valency2_orr,
+                            two_generated_mpdr)
 from .digraphs import Digraph
 from .errors import (CapExceededError, FormatError, MpdrError, PreconditionError,
                      SearchExhaustedError)
@@ -21,11 +21,10 @@ __all__ = [
     "AutSearchResult", "CapExceededError", "ConnectionSpec", "Digraph",
     "FiniteGroup", "FormatError", "MCayleyDigraph", "MpdrError", "PermGroup",
     "Permutation", "PreconditionError", "SearchExhaustedError", "SearchVerdict",
-    "StabilizerCriterionReport", "VerificationReport", "audit_valency",
-    "automorphism_search", "automorphisms", "brute_force_automorphisms",
-    "cayley_digraph", "cyclic_2pdr", "cyclic_mpdr", "drr_to_2pdr",
-    "exhaust_2partite_valency3", "exhaust_z2_m3_valency3", "find_valency2_drr",
-    "find_valency2_orr", "is_pdr", "is_rigid", "is_semiregular", "part_swap_automorphism",
-    "stabilizer_criterion_check", "translate_relation", "trivial_aut_3regular_search",
-    "two_generated_mpdr", "__version__",
+    "StabilizerCriterionReport", "VerificationReport", "automorphism_search",
+    "automorphisms", "brute_force_automorphisms", "cayley_digraph", "cyclic_2pdr",
+    "cyclic_mpdr", "drr_to_2pdr", "exhaust_2partite_valency3", "exhaust_z2_m3_valency3",
+    "find_valency2_drr", "find_valency2_orr", "is_pdr", "is_semiregular",
+    "part_swap_automorphism", "stabilizer_criterion_check", "translate_relation",
+    "trivial_aut_3regular_search", "two_generated_mpdr", "__version__",
 ]

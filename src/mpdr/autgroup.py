@@ -20,9 +20,9 @@ reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 So :func:`automorphisms` reads the order and the generators off the search
 and builds no stabilizer chain; ``verify.is_pdr``,
 ``verify.stabilizer_criterion_check``, the searches and the CLI's ``verify``
-and ``aut`` read their answers from it, and :func:`first_automorphism` (so
-:func:`is_rigid`) stops at the first automorphism found.  A chain is built
-only on the first read of ``AutSearchResult.group``: by
+and ``aut`` read their answers from it, and :func:`first_automorphism` stops
+at the first automorphism found: a digraph is rigid when it returns None.
+A chain is built only on the first read of ``AutSearchResult.group``: by
 :func:`automorphism_search`, once, from the generator list, with its order
 checked against the search's.  The brute-force oracle returns the same
 report, its generators kept by ``perms.closure``, and builds no chain.
@@ -121,11 +121,6 @@ def first_automorphism(digraph: Digraph) -> tuple[int, ...] | None:
     return None if images is None else tuple(images)
 
 
-def is_rigid(digraph: Digraph) -> bool:
-    """True iff the only automorphism is the identity."""
-    return first_automorphism(digraph) is None
-
-
 def check_vertex_count(n: int, *, brute_force: bool = False) -> None:
     """Refuse a digraph on more vertices than the search's cap, or with
     ``brute_force`` the oracle's; callers that know n before building the
@@ -192,8 +187,6 @@ class _AutSearch:
             for v in cls:
                 cell[v] = c
         self.root: _Partition = (lab, pos, cell, first, size)
-        self.digon_adj = [tuple(v for v in digraph.out_adj[u]
-                                if digraph.digon_bits[u] >> v & 1) for u in range(n)]
         self.nodes = 0
         # |Aut| once run() is exhausted: the product, over the levels done
         # so far, of each path vertex's orbit length
@@ -233,7 +226,7 @@ class _AutSearch:
         cell: walked directly, it would cost O(n) per child rather than the
         arcs of its smaller siblings.  Order inside a cell is arbitrary."""
         lab, pos, cell, first, size = part
-        out_adj, in_adj, digon_adj = self.g.out_adj, self.g.in_adj, self.digon_adj
+        out_adj, in_adj, digon_adj = self.g.out_adj, self.g.in_adj, self.g.digon_adj
         # a (out, in, digon) count key packed base n + 1: integer order is
         # tuple order
         out_w, in_w = (self.n + 1) ** 2, self.n + 1

@@ -69,12 +69,6 @@ class ConnectionSpec:
     def is_partite(self) -> bool:
         return all(i != j for i, j, _ in self.entries)
 
-    def out_valency(self, part: int) -> int:
-        return sum(len(e) for i, _, e in self.entries if i == part)
-
-    def in_valency(self, part: int) -> int:
-        return sum(len(e) for _, j, e in self.entries if j == part)
-
     def to_json(self) -> str:
         doc = {
             "m": self.m,

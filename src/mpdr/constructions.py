@@ -153,11 +153,3 @@ def drr_to_2pdr(group: FiniteGroup, connection: tuple[int, ...] | list[int]) -> 
     raise SearchExhaustedError(
         "no completing set produced a two-part representation; this contradicts "
         "the guaranteed extension of a DRR and indicates a bug upstream")
-
-
-def audit_valency(spec: ConnectionSpec) -> int | None:
-    """The common in/out valency implied by the row and column sums of the
-    connection matrix, or None if they disagree (non-regular digraph)."""
-    vals = {spec.out_valency(i) for i in range(spec.m)}
-    vals |= {spec.in_valency(j) for j in range(spec.m)}
-    return vals.pop() if len(vals) == 1 else None

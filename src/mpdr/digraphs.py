@@ -1,7 +1,8 @@
 """Plain digraphs with the predicates the rest of the package relies on.
 
-Adjacency is stored both as sorted out/in lists and as per-vertex bitsets
-(Python ints), which the automorphism search uses for O(1) arc queries.
+Adjacency is stored as sorted out, in and digon lists, and as per-vertex
+out-arc bitsets (Python ints), which the automorphism search uses for O(1)
+arc queries.  Each fact about adjacency has this one home.
 A digraph is its arcs and vertex colors, nothing more: a loop (v, v) is an
 arc like any other.  Digraphs are immutable after construction; colors,
 when present, are part of the value, and automorphisms keep each class.
@@ -9,7 +10,6 @@ when present, are part of the value, and automorphisms keep each class.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from .errors import FormatError, parse_int, read_text
@@ -24,7 +24,7 @@ class Digraph:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         self.n = int(n)
         out_bits = [0] * n
-        in_bits = [0] * n
+        in_mask = [0] * n
         count = 0
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -32,15 +32,15 @@ class Digraph:
             if out_bits[u] >> v & 1:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             out_bits[u] |= 1 << v
-            in_bits[v] |= 1 << u
+            in_mask[v] |= 1 << u
             count += 1
         self.out_bits = tuple(out_bits)
-        self.in_bits = tuple(in_bits)
         self.arc_count = count
         self.out_adj = tuple(tuple(_bits(b)) for b in out_bits)
-        self.in_adj = tuple(tuple(_bits(b)) for b in in_bits)
-        self.digon_bits = tuple((o & i) & ~(1 << v)
-                                for v, (o, i) in enumerate(zip(out_bits, in_bits)))
+        self.in_adj = tuple(tuple(_bits(b)) for b in in_mask)
+        # per vertex, the out-neighbours joined both ways, loops excluded
+        self.digon_adj = tuple(tuple(_bits(o & i & ~(1 << v)))
+                               for v, (o, i) in enumerate(zip(out_bits, in_mask)))
         if vertex_color is not None:
             vertex_color = tuple(int(c) for c in vertex_color)
             if len(vertex_color) != n:
@@ -52,30 +52,28 @@ class Digraph:
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.out_adj[u]]
 
-    def is_k_regular(self, k: int) -> bool:
-        return all(len(self.out_adj[v]) == k and len(self.in_adj[v]) == k
-                   for v in range(self.n))
-
     def regular_valency(self) -> int | None:
-        """The common in/out valency, or None if the digraph is not regular."""
+        """The k with in- and out-valency k at every vertex, or None if the
+        digraph is not regular."""
         k = len(self.out_adj[0])
-        return k if self.is_k_regular(k) else None
+        regular = all(len(o) == k and len(i) == k for o, i in zip(self.out_adj, self.in_adj))
+        return k if regular else None
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         """All pairs {u, v} joined by arcs both ways, as (u, v) with u < v."""
-        return [(u, v) for u in range(self.n) for v in _bits(self.digon_bits[u])
-                if u < v]
+        return [(u, v) for u in range(self.n) for v in self.digon_adj[u] if u < v]
 
     def is_connected(self) -> bool:
         """Weak connectivity: every vertex is reached from 0 along arcs
         taken in either direction."""
-        step = [o | i for o, i in zip(self.out_bits, self.in_bits)]
-        seen, queue = 1, deque([0])
-        while queue:
-            fresh = step[queue.popleft()] & ~seen
-            seen |= fresh
-            queue.extend(_bits(fresh))
-        return seen == (1 << self.n) - 1
+        seen, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for v in self.out_adj[u] + self.in_adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == self.n
 
     # -- automorphism support --------------------------------------------------
 
@@ -132,9 +130,8 @@ class Digraph:
         for u, v in self.undirected_edges():
             out.append(f"  {u} -> {v} [dir=none];")
         for u in range(self.n):
-            for v in self.out_adj[u]:
-                if not self.digon_bits[u] >> v & 1:  # a loop is never a digon
-                    out.append(f"  {u} -> {v};")
+            digons = set(self.digon_adj[u])  # a loop is never a digon
+            out.extend(f"  {u} -> {v};" for v in self.out_adj[u] if v not in digons)
         out.append("}")
         return "\n".join(out) + "\n"
 

@@ -2,12 +2,13 @@
 
 A group is stored as its full multiplication table, built once by the
 constructor that knows its structure (a cyclic group's rows are rotations of
-one shared tuple); other modules read it only through ``row(a)``.  Both
-constructors refuse more than ``CLOSURE_CAP`` elements.  Index 0 is always the
-identity, which keeps connection-set literals stable across runs.  The
-product convention is ``table(a, b) = "a then b"``: for groups built from
-permutations, the permutation assigned to ``mul(a, b)`` equals "apply the
-permutation of a, then the permutation of b".
+one shared tuple); only ``mul`` and ``row`` read it, and everything else
+goes through them.  Both constructors refuse more than ``CLOSURE_CAP``
+elements.  Index 0 is always the identity, which keeps connection-set
+literals stable across runs.  The product convention is ``table(a, b) =
+"a then b"``: for groups built from permutations, the permutation assigned
+to ``mul(a, b)`` equals "apply the permutation of a, then the permutation
+of b".
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         n = self.order
-        return all(self._table[a][b] == self._table[b][a]
-                   for a in range(n) for b in range(a + 1, n))
+        rows = list(map(self.row, range(n)))
+        return all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a + 1, n))
 
     def label(self, a: int) -> str:
         """The name of element a: ``x^i`` for the i-th power in ``cyclic``,

@@ -45,7 +45,7 @@ def hamiltonian_oriented_cycles(digraph: Digraph) -> list[tuple[int, ...]]:
     """All directed Hamiltonian cycles that use no loop and no digon arc,
     sorted, each once as the rotation that starts at vertex 0."""
     n = digraph.n
-    plain = [[w for w in digraph.out_adj[u] if w != u and not digraph.digon_bits[u] >> w & 1]
+    plain = [[w for w in digraph.out_adj[u] if w != u and w not in digraph.digon_adj[u]]
              for u in range(n)]
     found = []
     paths = [(0,)]

@@ -242,5 +242,5 @@ def test_criterion_12_rigid_search_verdicts():
         v6 = trivial_aut_3regular_search(6)
         assert v6.verdict == "witness-found"
         g6 = Digraph(6, [tuple(a) for a in v6.witness["arcs"]])
-        assert g6.is_k_regular(3)
+        assert g6.regular_valency() == 3
         assert automorphisms(g6).group.order == 1

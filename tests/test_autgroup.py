@@ -14,7 +14,7 @@ from mpdr import autgroup, perms, verify
 from mpdr import (AutSearchResult, CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
                   MCayleyDigraph, PermGroup, VerificationReport, automorphism_search,
                   automorphisms, brute_force_automorphisms, cyclic_2pdr, cyclic_mpdr,
-                  exhaust_z2_m3_valency3, is_pdr, is_rigid, part_swap_automorphism,
+                  exhaust_z2_m3_valency3, is_pdr, part_swap_automorphism,
                   stabilizer_criterion_check, two_generated_mpdr)
 from mpdr.search import _branch_rows
 
@@ -196,7 +196,7 @@ def test_refinement_matches_definition():
               for n in (20, 30)]
     for spec in specs:
         digraph = MCayleyDigraph(FiniteGroup.cyclic(spec.group_order), spec).digraph
-        assert any(digraph.digon_bits)
+        assert any(digraph.digon_adj)
         digraphs.append(digraph)
     for digraph in digraphs:
         search = autgroup._AutSearch(digraph)
@@ -459,7 +459,8 @@ def test_is_rigid_on_rigid3_candidates(oriented):
     for m in range(1, 8 if oriented else 7):
         for rows in _branch_rows(m, oriented):
             g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
-            assert is_rigid(g) == (automorphism_search(g).group.order == 1)
+            rigid = autgroup.first_automorphism(g) is None
+            assert rigid == (automorphism_search(g).group.order == 1)
             tested += 1
     assert tested == (2640 if oriented else 1 + 44 + 7570)
 
@@ -470,8 +471,9 @@ def test_is_rigid_random():
     for _ in range(300):
         g = random_digraph(rng, rng.randint(1, 12), rng.choice([0.1, 0.2, 0.4]),
                            colored=rng.random() < 0.3)
-        assert is_rigid(g) == (automorphism_search(g).group.order == 1)
-        rigid += is_rigid(g)
+        is_rigid = autgroup.first_automorphism(g) is None
+        assert is_rigid == (automorphism_search(g).group.order == 1)
+        rigid += is_rigid
     assert 0 < rigid < 300
 
 
@@ -487,7 +489,7 @@ def test_is_rigid_stops_at_first_automorphism(monkeypatch):
 
     monkeypatch.setattr(autgroup._AutSearch, "_leaf", counted)
     k7 = Digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v])
-    assert not is_rigid(k7)
+    assert autgroup.first_automorphism(k7) is not None
     assert len(found) == 1
     assert automorphisms(k7).order == 5040
     assert len(found) == 1 + 6  # one per path level: target cells of 7 down to 2
@@ -652,6 +654,45 @@ def test_is_pdr_nonregular_reported_not_error():
     rep = is_pdr(z4, spec)
     assert rep.valency is None
     assert not rep.is_pdr
+
+
+def test_is_pdr_invariant_under_group_and_part_relabelings(s3, d4):
+    """An automorphism phi of G applied to every connection set, and a part
+    permutation pi taking T[i, j] to T[pi(i), pi(j)], each give an
+    isomorphic digraph: the verdict, |Aut| and the valency stay, and the
+    parts fixed setwise move with pi.  phi is a unit of Z_n, or conjugation
+    by element 2 of S3 or D4."""
+    rng = random.Random(30)
+    relabelings = []
+    for n in range(5, 13):
+        u = rng.choice([u for u in range(2, n) if math.gcd(u, n) == 1])
+        relabelings.append((FiniteGroup.cyclic(n), lambda a, u=u, n=n: u * a % n))
+    for g in (s3, d4):
+        relabelings.append((g, lambda a, g=g: g.mul(g.mul(g.inverse(2), a), 2)))
+    verdicts = set()
+    for _ in range(60):
+        group, phi = rng.choice(relabelings)
+        n, m = group.order, rng.choice((2, 3))
+        forward, back = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (3, 0)])
+        sets = {(i, (i + 1) % m): rng.sample(range(n), forward) for i in range(m)}
+        for i in range(m):
+            sets.setdefault((i, (i - 1) % m), rng.sample(range(n), back))
+        if rng.random() < 0.2:  # most likely no longer regular
+            sets[(0, 1)] = sets[(0, 1)][1:]
+        pi = rng.sample(range(m), m)
+        rep = is_pdr(group, ConnectionSpec.from_sets(m, n, sets))
+        mapped = is_pdr(group, ConnectionSpec.from_sets(
+            m, n, {ij: [phi(t) for t in ts] for ij, ts in sets.items()}))
+        permuted = is_pdr(group, ConnectionSpec.from_sets(
+            m, n, {(pi[i], pi[j]): ts for (i, j), ts in sets.items()}))
+        for other in (mapped, permuted):
+            assert (other.is_pdr, other.aut_order, other.valency) == \
+                (rep.is_pdr, rep.aut_order, rep.valency)
+        assert mapped.parts_fixed_setwise == rep.parts_fixed_setwise
+        assert [permuted.parts_fixed_setwise[pi[i]] for i in range(m)] == \
+            rep.parts_fixed_setwise
+        verdicts.add((rep.is_pdr, rep.valency is None, all(rep.parts_fixed_setwise)))
+    assert verdicts >= {(True, False, True), (False, False, False), (False, True, True)}
 
 
 def test_report_json_shape():

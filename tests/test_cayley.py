@@ -42,15 +42,22 @@ def test_spec_json_roundtrip_bit_exact():
 
 
 def test_spec_valency_sums():
-    spec = lemma_spec_z5()
-    assert spec.out_valency(0) == 3 and spec.in_valency(0) == 3
+    """The built digraph is k-regular when every row and column of the
+    spec's set sizes sums to k, and not regular when the sums differ."""
+    z5 = FiniteGroup.cyclic(5)
+    uneven = ConnectionSpec.from_sets(2, 5, {(0, 1): (0, 1, 2), (1, 0): (0,)})
+    for spec, valency in ((lemma_spec_z5(), 3), (uneven, None)):
+        sizes = [[len(spec.set_for(i, j)) for j in range(2)] for i in range(2)]
+        sums = {sum(row) for row in sizes} | {sum(col) for col in zip(*sizes)}
+        assert (sums == {3}) == (valency == 3)
+        assert MCayleyDigraph(z5, spec).digraph.regular_valency() == valency
 
 
 def test_build_z5():
     x = MCayleyDigraph(FiniteGroup.cyclic(5), lemma_spec_z5())
     assert x.digraph.n == 10
     assert x.digraph.arc_count == 30
-    assert x.digraph.is_k_regular(3)
+    assert x.digraph.regular_valency() == 3
     assert x.digraph.vertex_color is None
     colored = x.part_colored()
     assert colored.vertex_color == (0,) * 5 + (1,) * 5
@@ -64,7 +71,7 @@ def test_build_z2_three_parts_forced():
     })
     x = MCayleyDigraph(FiniteGroup.cyclic(2), spec)
     assert x.digraph.n == 6
-    assert x.digraph.is_k_regular(3)
+    assert x.digraph.regular_valency() == 3
 
 
 def test_build_empty_spec():
@@ -105,8 +112,10 @@ def test_degree_sums_match_spec():
         x = MCayleyDigraph(group, spec)
         for i in range(m):
             for v in x.part(i):
-                assert len(x.digraph.out_adj[v]) == spec.out_valency(i)
-                assert len(x.digraph.in_adj[v]) == spec.in_valency(i)
+                assert len(x.digraph.out_adj[v]) == sum(len(spec.set_for(i, j))
+                                                        for j in range(m))
+                assert len(x.digraph.in_adj[v]) == sum(len(spec.set_for(j, i))
+                                                       for j in range(m))
 
 
 def test_partite_means_arcless_parts():
@@ -249,7 +258,7 @@ def test_part_swap_property_random_abelian(z2z4):
 def test_cayley_digraph_plain(s3):
     z5 = FiniteGroup.cyclic(5)
     g = cayley_digraph(z5, (1, 2))
-    assert g.n == 5 and g.is_k_regular(2)
+    assert g.n == 5 and g.regular_valency() == 2
     assert g.out_adj[0] == (1, 2)
     # left multiplication, and the identity in the set gives a loop at every vertex
     g = cayley_digraph(s3, (0, 1))

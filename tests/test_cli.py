@@ -308,7 +308,8 @@ def test_construct_drr_extend(capsys, files):
             f"2-part valency-{k + 1} extension of the valency-{k} DRR {r_set}\n"
             f"wrote {out}\n")
         spec = ConnectionSpec.from_json(out.read_text())
-        assert all(spec.out_valency(i) == spec.in_valency(i) == k + 1 for i in range(2))
+        x = MCayleyDigraph(FiniteGroup.cyclic(7), spec)
+        assert x.digraph.regular_valency() == k + 1
 
 
 def test_verify_true_exit_0(capsys, files):
@@ -605,7 +606,7 @@ def test_search_rigid3_readme_example(capsys):
     assert code == 0
     assert doc["verdict"] == "witness-found"
     g = Digraph(12, [tuple(a) for a in doc["witness"]["arcs"]])
-    assert g.is_k_regular(3) and not any(g.digon_bits)
+    assert g.regular_valency() == 3 and not any(g.digon_adj)
     assert automorphisms(g).group.order == 1
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
-                  cayley_digraph)
+                  cayley_digraph, cyclic_2pdr)
 
 from conftest import assert_refused, hamiltonian_oriented_cycles, induced_subdigraph, k_step_out_neighborhood
 
@@ -16,9 +16,8 @@ def random_digraph(rng, n, p, loops=False):
 
 def test_triangle():
     g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert g.is_k_regular(1)
-    assert not g.is_k_regular(2)
-    assert not any(g.digon_bits)
+    assert g.regular_valency() == 1
+    assert not any(g.digon_adj)
     assert g.undirected_edges() == []
     assert g.is_connected()
 
@@ -31,7 +30,7 @@ def test_single_vertex():
 
 def test_digon():
     g = Digraph(2, [(0, 1), (1, 0)])
-    assert any(g.digon_bits)
+    assert g.digon_adj == ((1,), (0,))
     assert g.undirected_edges() == [(0, 1)]
 
 
@@ -145,7 +144,7 @@ def test_hamiltonian_cycle_with_chord():
 def test_text_roundtrip(s3):
     """from_text reads back every digraph to_text writes, loops included:
     random digraphs, m-Cayley digraphs with and without diagonal sets, and
-    Cayley digraphs."""
+    Cayley digraphs; and each one's digon lists match their definition."""
     rng = random.Random(8)
     digraphs = [random_digraph(rng, rng.randint(1, 9), 0.4, loops=i >= 20)
                 for i in range(40)]
@@ -167,9 +166,17 @@ def test_text_roundtrip(s3):
     assert partite == {True, False}
     assert any(g.out_bits[v] >> v & 1 for g in digraphs[20:40] for v in range(g.n))
     assert any(g.out_bits[v] >> v & 1 for g in digraphs[41::2] for v in range(g.n))
+    c5 = MCayleyDigraph(FiniteGroup.cyclic(5), cyclic_2pdr(5)).digraph
+    assert sum(map(len, c5.digon_adj)) == 2 * 10
+    digraphs.append(c5)
     for g in digraphs:
         back = Digraph.from_text(g.to_text())
         assert back.n == g.n and back.arcs() == g.arcs()
+        # the digon lists by their definition: ascending, loops excluded
+        arcs = set(g.arcs())
+        assert g.digon_adj == tuple(
+            tuple(v for v in range(g.n) if v != u and (u, v) in arcs and (v, u) in arcs)
+            for u in range(g.n))
 
 
 def test_text_parse_errors():

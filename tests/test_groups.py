@@ -83,7 +83,8 @@ def test_from_permutations_refusals(call, refusal):
 def test_cyclic_table_and_inverses():
     for n in range(1, 41):
         g = FiniteGroup.cyclic(n)
-        assert g._table == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        assert [g.row(a) for a in range(n)] == [tuple((a + b) % n for b in range(n))
+                                                for a in range(n)]
         assert [g.inverse(a) for a in range(n)] == [-a % n for a in range(n)]
     g = FiniteGroup.cyclic(1000)
     for a in (0, 1, 999):
@@ -209,7 +210,7 @@ def test_bfs_indexing_deterministic():
     gens = [[1, 2, 0], [1, 0, 2]]
     g1 = FiniteGroup.from_permutations(3, gens)
     g2 = FiniteGroup.from_permutations(3, gens)
-    assert g1._table == g2._table
+    assert [g1.row(a) for a in range(6)] == [g2.row(a) for a in range(6)]
     assert [g1.label(a) for a in range(6)] == [g2.label(a) for a in range(6)]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphisms,
                   cayley_digraph, exhaust_2partite_valency3, exhaust_z2_m3_valency3,
-                  find_valency2_drr, is_rigid, search, translate_relation,
+                  find_valency2_drr, search, translate_relation,
                   trivial_aut_3regular_search)
 from mpdr.autgroup import first_automorphism
 from mpdr.cayley import ConnectionSpec
@@ -156,8 +156,8 @@ def test_rigid_enumeration_counts(m, oriented, count):
     seen = set()
     for rows in search._branch_rows(m, oriented):
         g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
-        assert g.is_k_regular(3)
-        assert not any(g.digon_bits) or not oriented
+        assert g.regular_valency() == 3
+        assert not any(g.digon_adj) or not oriented
         seen.add(tuple(rows))
     assert len(seen) == count
     per_row = collections.Counter(rows[0] for rows in seen)
@@ -216,8 +216,8 @@ def test_rigid_sampler_draws_3_regular_digraphs(m, oriented):
     assert kept
     for rows in kept:
         g = Digraph(m, [(u, w) for u, row in enumerate(rows) for w in row])
-        assert g.is_k_regular(3)
-        assert not any(g.digon_bits) or not oriented
+        assert g.regular_valency() == 3
+        assert not any(g.digon_adj) or not oriented
 
 
 def test_rigid_m6_witness():
@@ -225,7 +225,7 @@ def test_rigid_m6_witness():
     assert verdict.verdict == "witness-found"
     arcs = [tuple(a) for a in verdict.witness["arcs"]]
     g = Digraph(6, arcs)
-    assert g.is_k_regular(3)
+    assert g.regular_valency() == 3
     assert automorphisms(g).group.order == 1
 
 
@@ -276,8 +276,8 @@ def test_rigid_oriented_witnesses_have_no_digons():
                                           oriented=True, seed=1)
     assert verdict.verdict == "witness-found"
     g = Digraph(12, [tuple(a) for a in verdict.witness["arcs"]])
-    assert not any(g.digon_bits)
-    assert g.is_k_regular(3)
+    assert not any(g.digon_adj)
+    assert g.regular_valency() == 3
     assert automorphisms(g).group.order == 1
 
 
@@ -310,7 +310,7 @@ def _plain_scan(m, candidates):
     tested = 0
     for rows in candidates:
         tested += 1
-        if is_rigid(Digraph(m, _arcs(rows))):
+        if first_automorphism(Digraph(m, _arcs(rows))) is None:
             return _arcs(rows), tested
     return None, tested
 
@@ -397,7 +397,7 @@ def test_rigid_index_hit_alone_never_decides():
     assert sigma is not None
     rigid = next(rows for rows in candidates
                  if rows[0] == first[0] and rows[sigma[0]] == first[sigma[0]]
-                 and is_rigid(Digraph(6, _arcs(rows))))
+                 and first_automorphism(Digraph(6, _arcs(rows))) is None)
     # sigma maps vertex 0's row onto the row at sigma(0), so its key is hit
     assert search._image(sigma, rigid[0]) == rigid[sigma[0]]
     assert search._first_rigid(6, [first, rigid]) == (_arcs(rigid), 2)
