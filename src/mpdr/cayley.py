@@ -84,6 +84,8 @@ class ConnectionSpec:
             doc = json.loads(text)
         except ValueError as exc:  # a decode error, or an integer too long to read
             raise FormatError(f"connection spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # arrays or objects nested past the recursion limit
+            raise FormatError("connection spec is not valid JSON: nested too deeply") from exc
         try:
             entries = tuple((_exact(e["i"], int, "i"), _exact(e["j"], int, "j"),
                              tuple(_exact(x, int, "element")

@@ -86,7 +86,10 @@ def _envelope(inputs: dict) -> dict:
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the --out file, or to stdout without one."""
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

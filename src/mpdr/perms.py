@@ -68,8 +68,11 @@ class Permutation:
         line = " ".join(fields(text))  # one space between fields, none at the ends
         if not re.fullmatch(r"(\([0-9, ]*\) ?)*", line):
             raise FormatError(f"cannot parse permutation: {text!r}")
-        cycles = [[int(point) for point in fields(body.replace(",", " "))]
-                  for body in _CYCLE_RE.findall(line)]
+        try:
+            cycles = [[int(point) for point in fields(body.replace(",", " "))]
+                      for body in _CYCLE_RE.findall(line)]
+        except ValueError as exc:  # more digits than int() reads
+            raise FormatError(f"point with too many digits for degree {degree}") from exc
         mentioned = [p for points in cycles for p in points]
         if any(p >= degree for p in mentioned):
             raise FormatError(f"point out of range for degree {degree}: {text!r}")

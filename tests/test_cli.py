@@ -80,6 +80,111 @@ def test_golden_documents(capsys, files, case):
     assert {"exit": code, "doc": _normalized(doc)} == GOLDEN[case]
 
 
+# The CLI contract, one row per case: the argv, in which "{name}" is the path
+# of a file holding CLI_FILES[name], the exit code, and a check.  A row that
+# exits 2 or 3 prints nothing on stdout, and its check is its one stderr line
+# ("{name}" as in the argv).  Any other row prints nothing on stderr, and its
+# check is None, a test of its stdout, or the name of a row that prints the
+# same bytes.  Adding a CLI check means adding a row.
+CLI_FILES = {
+    "z5": "cyclic 5\n",
+    "z7": "cyclic 7\n",
+    "c5": cyclic_2pdr(5).to_json(),
+    "c7": cyclic_2pdr(7).to_json(),
+    "k5": "n 5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(5) if u != v),
+    "loop": "n 3\n0 0\n0 1\n1 2\n2 0\n",  # a loop is an arc like any other
+    "d4": "perm 4\n(0 1 2 3)\n(0 2)\n",
+    "a5": "perm 5\n(0 1 2 3 4)\n(0 1 2)\n",
+    "a5_repeat": "perm 5\n(0 1 2 3 4)\n(0 1 2 3 4)\n(0 1 2)\n",
+    "point_twice": "perm 3\n(0 1)(0 2)\n",
+    "underscore_dg": "n 1_0\n0 1\n",
+    "underscore_grp": "cyclic 1_0\n",
+    "ideographic": "n 2\n0\u30001\n",  # only ASCII space and tab separate fields
+    "deep": "[" * 200_000,  # nested past the interpreter's recursion limit
+    "long_point": "perm 5\n(0 " + "9" * 5000 + ")\n",  # more digits than int() reads
+}
+
+
+def _aut_orders(out):
+    return collections.Counter(r["aut_order"] for r in json.loads(out)["records"])
+
+
+CLI_CASES = {
+    "construct-c7": ("construct --family cyclic-2pdr --n 7", 0,
+                     lambda out: out == CLI_FILES["c7"]),
+    "construct-c5000": ("construct --family cyclic-2pdr --n 5000", 0,
+                        lambda out: json.loads(out)["n"] == 5000),
+    "verify-z7": ("verify --group {z7} --spec {c7}", 0,
+                  lambda out: json.loads(out)["report"]["aut_order"] == "7"),
+    "export-z5": ("export --group {z5} --spec {c5}", 0,  # 10 digons, 20 "->" lines
+                  lambda out: (out.count("dir=none"), out.count("->")) == (10, 20)),
+    "aut-k5-oracle": ("aut --digraph {k5} --oracle", 0,
+                      lambda out: json.loads(out)["aut"]["order"] == "120"),
+    "aut-loop": ("aut --digraph {loop}", 0,
+                 lambda out: json.loads(out)["aut"]["order"] == "1"),
+    "rigid3-m7-oriented": ("search --problem rigid3 --m 7 --oriented", 0,
+                           lambda out: json.loads(out)["nodes_explored"] == 2640),
+    "exhaust-z8": ("search --problem exhaust-negative --n 8", 0,
+                   lambda out: _aut_orders(out) == {8: 2240, 16: 544, 32: 160, 64: 64,
+                                                    96: 32, 128: 80, 512: 8, 4608: 8}),
+    "exhaust-d4": ("search --problem exhaust-negative --group {d4}", 0,
+                   lambda out: _aut_orders(out) == {8: 2048, 16: 576, 32: 256, 96: 64,
+                                                    128: 112, 512: 56, 4608: 24}),
+    "two-gen-a5": ("construct --family two-gen-mpdr --m 3 --group {a5}", 0, None),
+    "two-gen-a5-repeated-line": ("construct --family two-gen-mpdr --m 3 --group {a5_repeat}",
+                                 0, "two-gen-a5"),
+    "drr2-unread-m": ("search --problem drr2 --group {z5} --m 3", 3,
+                      "input error: drr2 does not take --m"),
+    "cyclic-2pdr-unread-m": ("construct --family cyclic-2pdr --n 5 --m 3", 3,
+                             "input error: cyclic-2pdr does not take --m"),
+    "rigid3-jobs-2": ("search --problem rigid3 --m 5 --jobs 2", 2,
+                      "refused: rigid3 runs one sequential scan: jobs must be 1, got 2"),
+    "point-repeated-across-cycles": ("search --problem drr2 --group {point_twice}", 3,
+                                     "input error: repeated point in cycle notation: "
+                                     "'(0 1)(0 2)'"),
+    "digraph-header-underscore": ("aut --digraph {underscore_dg}", 3,
+                                  "input error: bad vertex count line: 'n 1_0'"),
+    "group-header-underscore": ("search --problem drr2 --group {underscore_grp}", 3,
+                                "input error: bad cyclic order line: 'cyclic 1_0'"),
+    "arc-line-ideographic-space": ("aut --digraph {ideographic}", 3,
+                                   "input error: bad arc line: '0\\u30001'"),
+    "construct-out-directory": ("construct --family cyclic-2pdr --n 5 --out .", 3,
+                                "input error: cannot write .: [Errno 21] Is a directory: '.'"),
+    "verify-out-unwritable": ("verify --group {z7} --spec {c7} --out {c7}/report.json", 3,
+                              "input error: cannot write {c7}/report.json: "
+                              "[Errno 20] Not a directory: '{c7}/report.json'"),
+    "spec-nested-too-deeply": ("verify --group {z5} --spec {deep}", 3,
+                               "input error: connection spec is not valid JSON: "
+                               "nested too deeply"),
+    "group-point-too-long": ("search --problem drr2 --group {long_point}", 3,
+                             "input error: point with too many digits for degree 5"),
+}
+
+
+def _run_row(capsys, tmp_path, argv):
+    """Write the files ``argv`` names into ``tmp_path`` and run it: the exit
+    code, stdout, stderr and each name's path."""
+    paths = {name: tmp_path / name for name in re.findall(r"\{(\w+)\}", argv)}
+    for name, path in paths.items():
+        path.write_bytes(CLI_FILES[name].encode())
+    code = main(argv.format(**paths).split())
+    return code, *capsys.readouterr(), paths
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_case(capsys, tmp_path, case):
+    argv, code, check = CLI_CASES[case]
+    got, out, err, paths = _run_row(capsys, tmp_path, argv)
+    if code >= 2:
+        assert (got, out, err) == (code, "", check.format(**paths) + "\n")
+    else:
+        assert (got, err) == (code, "")
+        if isinstance(check, str):
+            assert out == _run_row(capsys, tmp_path, CLI_CASES[check][0])[1]
+        elif check is not None:
+            assert check(out)
+
+
 def test_parse_group_text_cyclic():
     assert parse_group_text("cyclic 6\n").order == 6
 
@@ -386,15 +491,6 @@ def test_non_utf8_input_exit_3(capsys, files):
     assert captured.err.startswith("input error:")
 
 
-def test_generator_with_point_repeated_across_cycles_exit_3(capsys, files):
-    bad = files["tmp"] / "bad.grp"
-    bad.write_text("perm 3\n(0 1)(0 2)\n")
-    assert main(["search", "--problem", "drr2", "--group", str(bad)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "input error: repeated point in cycle notation: '(0 1)(0 2)'\n"
-
-
 @pytest.mark.parametrize("module,argv", [
     ("mpdr.verify", ["verify", "--group", "z5", "--spec", "fig"]),
     ("mpdr.cli", ["aut", "--digraph", "tri"]),
@@ -656,15 +752,6 @@ def test_search_rejects_bad_jobs_and_budget(capsys, argv):
                else "invalid integer value")
     assert message in captured.err
     assert "Traceback" not in captured.err
-
-
-def test_search_rigid3_jobs_above_one_refused(capsys):
-    # exhaustive rigid3 is one sequential scan; a pool size is not accepted
-    assert main(["search", "--problem", "rigid3", "--m", "5", "--jobs", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("refused:") and captured.err.count("\n") == 1
-    assert "jobs must be 1" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "aut"])
