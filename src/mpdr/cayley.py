@@ -79,7 +79,8 @@ class ConnectionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> ConnectionSpec:
-        """Parse the ``to_json`` document exactly: no value is coerced."""
+        """Parse the ``to_json`` document exactly: no value is coerced, and
+        no key is missing or added."""
         try:
             doc = json.loads(text)
         except ValueError as exc:  # a decode error, or an integer too long to read
@@ -87,13 +88,25 @@ class ConnectionSpec:
         except RecursionError as exc:  # arrays or objects nested past the recursion limit
             raise FormatError("connection spec is not valid JSON: nested too deeply") from exc
         try:
-            entries = tuple((_exact(e["i"], int, "i"), _exact(e["j"], int, "j"),
-                             tuple(_exact(x, int, "element")
-                                   for x in _exact(e["elements"], list, "elements")))
-                            for e in _exact(doc["sets"], list, "sets"))
-            return cls(_exact(doc["m"], int, "m"), _exact(doc["n"], int, "n"), entries)
+            sets, m, n = _fields(doc, ("sets", "m", "n"), "at the top level")
+            entries = []
+            for e in _exact(sets, list, "sets"):
+                i, j, elements = _fields(e, ("i", "j", "elements"), "in a sets entry")
+                entries.append((_exact(i, int, "i"), _exact(j, int, "j"),
+                                tuple(_exact(x, int, "element")
+                                      for x in _exact(elements, list, "elements"))))
+            return cls(_exact(m, int, "m"), _exact(n, int, "n"), tuple(entries))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed connection spec document: {exc}") from exc
+
+
+def _fields(doc, names: tuple[str, ...], where: str) -> list:
+    """The values of ``names`` in a JSON object that has no other key."""
+    if type(doc) is dict:
+        extra = sorted(doc.keys() - set(names))
+        if extra:
+            raise ValueError(f"unknown key {json.dumps(extra[0])} {where}")
+    return [doc[name] for name in names]
 
 
 def _exact(value, kind: type, name: str):

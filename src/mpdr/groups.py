@@ -1,44 +1,71 @@
 """Finite groups over a canonical 0-based element indexing.
 
 A group is stored as its full multiplication table, built once by the
-constructor that knows its structure (a cyclic group's rows are rotations of
-one shared tuple); only ``mul`` and ``row`` read it, and everything else
-goes through them.  Both constructors refuse more than ``CLOSURE_CAP``
-elements.  Index 0 is always the identity, which keeps connection-set
-literals stable across runs.  The product convention is ``table(a, b) =
-"a then b"``: for groups built from permutations, the permutation assigned
-to ``mul(a, b)`` equals "apply the permutation of a, then the permutation
-of b".
+constructor that knows its structure and kept as one ``array('H')`` per
+column, ``_cols[b][a] = mul(a, b)``: 2 bytes per product.  A cyclic group's
+columns (which are also its rows) are slices of one array, 0..n-1 twice.
+Only ``mul``, ``row`` and ``is_abelian`` read the table, and everything
+else goes through the first two; ``row(a)`` builds its tuple on each call.
+Both constructors refuse more than ``CLOSURE_CAP`` elements.  Index 0 is
+always the identity, which keeps connection-set literals stable across
+runs.  The product convention is ``table(a, b) = "a then b"``: for groups
+built from permutations, the permutation assigned to ``mul(a, b)`` equals
+"apply the permutation of a, then the permutation of b".
 """
 
 from __future__ import annotations
 
+from array import array
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 from .perms import Permutation, closure
 
 CLOSURE_CAP = 5000
+# a table cell: 'H' holds 0..65535, so every index below CLOSURE_CAP fits
+_CELL = "H"
+_NOT_SQUARE = "multiplication table is not square over 0..n-1"
 
 
 class FiniteGroup:
     """A finite group with elements 0..order-1 and identity 0."""
 
     def __init__(self, table: Sequence[Sequence[int]],
-                 designated_generators: Sequence[int] = ()):
-        rows = tuple(tuple(row) for row in table)
-        n = self.order = len(rows)
+                 designated_generators: Sequence[int] = (), *, by_columns: bool = False):
+        """The group with ``table[a][b] = mul(a, b)``.  The constructors pass
+        ``by_columns``: ``table`` is then a list of ``array('H')`` columns,
+        ``table[b][a] = mul(a, b)``, kept as it is.  Either table is checked."""
+        if by_columns:
+            cols = table
+        else:
+            try:
+                rows = [array(_CELL, row) for row in table]
+            except (TypeError, OverflowError):  # an entry that is no integer in 0..65535
+                raise ValueError(_NOT_SQUARE) from None
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError(_NOT_SQUARE)
+            cols = [array(_CELL, col) for col in zip(*rows)]
+        n = self.order = len(cols)
         if n < 1:
             raise ValueError("group order must be at least 1, got 0")
-        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in rows):
-            raise ValueError("multiplication table is not square over 0..n-1")
-        if rows[0] != tuple(range(n)) or [row[0] for row in rows] != list(range(n)):
+        if any(len(col) != n or max(col) >= n for col in cols):
+            raise ValueError(_NOT_SQUARE)
+        if cols[0] != array(_CELL, range(n)) or [col[0] for col in cols] != list(range(n)):
             raise ValueError("index 0 is not a two-sided identity")
-        self._inverse = tuple(row.index(0) if 0 in row else -1 for row in rows)
-        for a, b in enumerate(self._inverse):
-            if b < 0 or rows[b][a] != 0:
+        # inverse[a] is the least b with a * b = 0 (the columns are read from
+        # the last, so a smaller b overwrites), as a scan of row a finds it
+        inverse = [-1] * n
+        for b in reversed(range(n)):
+            col, a = cols[b], -1
+            for _ in range(col.count(0)):
+                a = col.index(0, a + 1)
+                inverse[a] = b
+        for a, b in enumerate(inverse):
+            if b < 0 or cols[a][b] != 0:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        self._table = rows
+        self._inverse = tuple(inverse)
+        self._cols = cols
         self.designated_generators = tuple(int(g) for g in designated_generators)
         self._permutations: tuple[Permutation, ...] | None = None
         self._name: Callable[[int], str] = str  # see label()
@@ -54,9 +81,9 @@ class FiniteGroup:
         if n > CLOSURE_CAP:
             raise CapExceededError(
                 f"group order {n} exceeds cap of {CLOSURE_CAP} elements")
-        elems = tuple(range(n))
-        table = [elems[a:] + elems[:a] for a in range(n)]
-        group = cls(table, designated_generators=(1,) if n > 1 else ())
+        rotations = array(_CELL, range(n)) * 2
+        cols = [rotations[b:b + n] for b in range(n)]
+        group = cls(cols, (1,) if n > 1 else (), by_columns=True)
         group._name = lambda i: "1" if i == 0 else "x" if i == 1 else f"x^{i}"
         return group
 
@@ -115,11 +142,11 @@ class FiniteGroup:
         # Column b maps a to a * b.  Along the tree, a * b = (a * elements[p])
         # * gen k, so column b is column p followed by times[k]: integer
         # lookups, no permutation products.
-        columns = [list(range(len(elements)))]
+        columns = [array(_CELL, range(len(elements)))]
         for p, k in found_as[1:]:
-            columns.append(list(map(times[k].__getitem__, columns[p])))
+            columns.append(array(_CELL, list(map(times[k].__getitem__, columns[p]))))
         # times[k][0] is the index of the identity * gen k, gen k's own
-        group = cls(list(zip(*columns)), designated_generators=[t[0] for t in times])
+        group = cls(columns, [t[0] for t in times], by_columns=True)
         perms = group._permutations = tuple(elements)
         group._name = lambda a: perms[a].cycle_string()
         return group
@@ -130,12 +157,12 @@ class FiniteGroup:
         """a then b."""
         self._check(a)
         self._check(b)
-        return self._table[a][b]
+        return self._cols[b][a]
 
     def row(self, a: int) -> tuple[int, ...]:
-        """mul(a, b) for every b, indexed by b."""
+        """mul(a, b) for every b, indexed by b; a new tuple on each call."""
         self._check(a)
-        return self._table[a]
+        return tuple(map(itemgetter(a), self._cols))
 
     def inverse(self, a: int) -> int:
         self._check(a)
@@ -146,9 +173,8 @@ class FiniteGroup:
         return len(closure(sorted(set(subset)), self.mul, 0)[1]) == self.order
 
     def is_abelian(self) -> bool:
-        n = self.order
-        rows = list(map(self.row, range(n)))
-        return all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a + 1, n))
+        """True iff every element's row equals its column."""
+        return all(tuple(col) == self.row(a) for a, col in enumerate(self._cols))
 
     def label(self, a: int) -> str:
         """The name of element a: ``x^i`` for the i-th power in ``cyclic``,

@@ -102,6 +102,8 @@ CLI_FILES = {
     "ideographic": "n 2\n0\u30001\n",  # only ASCII space and tab separate fields
     "deep": "[" * 200_000,  # nested past the interpreter's recursion limit
     "long_point": "perm 5\n(0 " + "9" * 5000 + ")\n",  # more digits than int() reads
+    "c5_top_key": cyclic_2pdr(5).to_json().replace('{', '{"junk": 1, ', 1),
+    "c5_entry_key": cyclic_2pdr(5).to_json().replace('"elements"', '"weight": 2, "elements"', 1),
 }
 
 
@@ -158,6 +160,12 @@ CLI_CASES = {
                                "nested too deeply"),
     "group-point-too-long": ("search --problem drr2 --group {long_point}", 3,
                              "input error: point with too many digits for degree 5"),
+    "spec-unknown-top-key": ("verify --group {z5} --spec {c5_top_key}", 3,
+                             'input error: malformed connection spec document: '
+                             'unknown key "junk" at the top level'),
+    "spec-unknown-entry-key": ("verify --group {z5} --spec {c5_entry_key}", 3,
+                               'input error: malformed connection spec document: '
+                               'unknown key "weight" in a sets entry'),
 }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -64,10 +65,25 @@ def test_invalid_order():
     ([[0, 0], [1, 0]], "two-sided identity"),                  # right identity only
     ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "no two-sided inverse"),  # no inverse
     ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "no two-sided inverse"),  # one-sided only
+    ([[0, 1], [1, 65536]], "not square"),                      # past a 2-byte cell
+    ([[0, 1], [1, 2 ** 64]], "not square"),
+    ([[0, 1], [1, 1.5]], "not square"),                        # non-integer entries
+    ([[0, 1], [1, "1"]], "not square"),
+    ([[0, 1.0], [1, 0]], "not square"),                        # a float, even a whole one
 ])
 def test_bad_table_rejected(table, message):
     with pytest.raises(ValueError, match=message):
         FiniteGroup(table)
+
+
+def test_cyclic_table_is_two_bytes_a_product():
+    tracemalloc.start()
+    try:
+        FiniteGroup.cyclic(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000  # 2.0 MB of 2-byte cells, where 8-byte slots take 8 MB
 
 
 @pytest.mark.parametrize("call, refusal", [
@@ -99,10 +115,14 @@ def test_cyclic_order_cap():
 
 
 def test_row_is_mul(s3, d4, q8, z2z4, a5):
+    given = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])  # Z2 x Z2
+    s3_given = FiniteGroup([list(s3.row(a)) for a in range(6)])
     for g in (FiniteGroup.cyclic(1), FiniteGroup.cyclic(7), FiniteGroup.cyclic(12),
-              s3, d4, q8, z2z4, a5):
+              s3, d4, q8, z2z4, a5, given, s3_given):
         for a in range(g.order):
-            assert g.row(a) == tuple(g.mul(a, b) for b in range(g.order))
+            row = g.row(a)
+            assert type(row) is tuple
+            assert row == tuple(g.mul(a, b) for b in range(g.order))
         for a in (g.order, -1):
             with pytest.raises(ValueError, match="out of range"):
                 g.row(a)

@@ -29,6 +29,7 @@ import random
 import pytest
 
 from mpdr import ConnectionSpec, FiniteGroup, Permutation, is_pdr
+from mpdr.autgroup import VERTEX_CAP
 from mpdr.constructions import cyclic_2pdr, cyclic_mpdr, two_generated_mpdr
 
 
@@ -135,3 +136,72 @@ def test_checker_never_contradicts_is_pdr_on_small_specs():
             if verdict != "inconclusive":
                 assert (verdict == "positive") == (is_pdr(group, spec).aut_order == n)
     assert set(seen) == {"positive", "negative", "inconclusive"}, seen
+
+
+def _psl2_prime(p):
+    """PSL(2, p) on the projective line 0..p-1, p = infinity: x -> x + 1
+    and x -> -1/x."""
+    return p + 1, [[(x + 1) % p if x < p else p for x in range(p + 1)],
+                   [p if x == 0 else 0 if x == p else -pow(x, -1, p) % p
+                    for x in range(p + 1)]]
+
+
+def _gf8_mul(a, b):
+    """Product in GF(8) = GF(2)[w] / (w^3 + w + 1), elements as bit masks."""
+    r = 0
+    for i in range(3):
+        if b >> i & 1:
+            r ^= a << i
+    for i in (4, 3):
+        if r >> i & 1:
+            r ^= 0b1011 << (i - 3)
+    return r
+
+
+def _psl2_8():
+    """PSL(2, 8) on the projective line over GF(8), 8 = infinity: x -> wx + 1
+    and x -> 1/x."""
+    inverse = {0: 8, 8: 0}
+    inverse.update((a, b) for a in range(1, 8) for b in range(1, 8) if _gf8_mul(a, b) == 1)
+    return 9, [[_gf8_mul(2, x) ^ 1 if x < 8 else 8 for x in range(9)],
+               [inverse[x] for x in range(9)]]
+
+
+def _relabeled(group, spec, rng):
+    """The same group and spec under a random renaming of the elements that
+    keeps the identity at 0, the group given as its row table."""
+    sigma = [0] + rng.sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b, ab in enumerate(group.row(a)):
+            table[sigma[a]][sigma[b]] = sigma[ab]
+    return FiniteGroup(table), ConnectionSpec(spec.m, spec.group_order, tuple(
+        (i, j, [sigma[t] for t in elems]) for i, j, elems in spec.entries))
+
+
+# The paper's nonabelian simple groups that fit the vertex cap at m = 3:
+# the first tables above order 120 that any test reads.  PSL(2,13) (order
+# 1,092) and A7 (order 2,520) exceed VERTEX_CAP = 2,048 even at m = 2.
+SIMPLE_GROUPS = {
+    "PSL(2,7)": (lambda: _psl2_prime(7), 168),
+    "A6": (lambda: (6, [Permutation.from_cycles("(0 1 2 3 4)", 6),
+                        Permutation.from_cycles("(0 1 2 3 5)", 6)]), 360),
+    "PSL(2,8)": (_psl2_8, 504),
+    "PSL(2,11)": (lambda: _psl2_prime(11), 660),
+}
+
+
+@pytest.mark.parametrize("name", SIMPLE_GROUPS)
+def test_simple_groups_two_generated_m3(name):
+    """two_generated_mpdr at m = 3 is a 3-PDR of each simple group: positive
+    for is_pdr and the colour-refinement checker, and for is_pdr again after
+    a seeded renaming of the elements."""
+    build, order = SIMPLE_GROUPS[name]
+    group = FiniteGroup.from_permutations(*build())
+    assert group.order == order and 3 * order <= VERTEX_CAP
+    spec = two_generated_mpdr(group, *group.designated_generators, 3)
+    report = is_pdr(group, spec)
+    assert report.is_pdr and report.aut_order == order
+    assert check_verdict(group, spec) == "positive"
+    report = is_pdr(*_relabeled(group, spec, random.Random(order)))
+    assert report.is_pdr and report.aut_order == order
