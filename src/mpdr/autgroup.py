@@ -27,6 +27,18 @@ A chain is built only on the first read of ``AutSearchResult.group``: by
 checked against the search's.  The brute-force oracle returns the same
 report, its generators kept by ``perms.closure``, and builds no chain.
 
+A caller that already has some automorphisms passes them to
+:func:`automorphisms` as ``known`` image sequences; each is checked once
+with ``Digraph.is_automorphism``, and a map that is not an automorphism is
+refused with ValueError.  Orbit pruning is valid for any known group of
+automorphisms (McKay & Piperno 2014), but the orbits a level merges must
+come from automorphisms that fix the path above it, so the known maps are
+merged only at depth 0, where nothing is fixed above: after the deeper
+levels are done and just before depth 0's branches.  Each one that joins
+two orbits is kept as a generator, so the order is still the orbit product
+and the generators still generate Aut.  ``verify`` seeds its searches of
+Aut with R(G) this way; no other caller passes ``known``.
+
 A partition is one ``lab`` array holding the cells side by side, with an
 index from each vertex to its position and to its cell's id, and each
 cell's first index and size kept by id.  Refinement is neighbour-driven, as
@@ -53,7 +65,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .digraphs import Digraph
 from .errors import CapExceededError
@@ -103,11 +115,14 @@ def automorphism_search(digraph: Digraph) -> AutSearchResult:
     return result
 
 
-def automorphisms(digraph: Digraph) -> AutSearchResult:
+def automorphisms(digraph: Digraph, known: Iterable[Sequence[int]] = ()) -> AutSearchResult:
     """|Aut|, its generators and the search statistics, read off the search:
-    no stabilizer chain is built unless ``group`` is read."""
+    no stabilizer chain is built unless ``group`` is read.  ``known`` holds
+    automorphisms the caller already has, as image sequences, to seed the
+    search with (see the module docstring); one that is not an
+    automorphism raises ValueError."""
     start = time.perf_counter()
-    search = _AutSearch(digraph)
+    search = _AutSearch(digraph, known)
     generators = [Permutation(images) for images in search.run()]
     return AutSearchResult(digraph.n, search.order, generators, search.nodes,
                            time.perf_counter() - start)
@@ -164,9 +179,13 @@ def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
 class _AutSearch:
     """One individualize-and-refine run over a digraph within the vertex cap."""
 
-    def __init__(self, digraph: Digraph):
+    def __init__(self, digraph: Digraph, known: Iterable[Sequence[int]] = ()):
         check_vertex_count(digraph.n)
         self.g = digraph
+        self.known = [tuple(images) for images in known]
+        for k, images in enumerate(self.known):
+            if not digraph.is_automorphism(images):
+                raise ValueError(f"known map {k} is not an automorphism of the digraph")
         n = self.n = digraph.n
         self.out_bits = digraph.out_bits
         if digraph.vertex_color is None:
@@ -255,9 +274,12 @@ class _AutSearch:
                         hit[c].append(v)
                     else:
                         hit[c] = [v]
-            for c in sorted(hit, key=first.__getitem__):
+            # one hit cell and one touched vertex are the common case after an
+            # individualization: neither needs a sort
+            for c in hit if len(hit) == 1 else sorted(hit, key=first.__getitem__):
                 touched = hit[c]
-                touched.sort(key=key.__getitem__, reverse=through_siblings)
+                if len(touched) > 1:
+                    touched.sort(key=key.__getitem__, reverse=through_siblings)
                 lo, hi = first[c], first[c] + size[c]
                 if len(touched) == size[c] and key[touched[0]] == key[touched[-1]]:
                     continue
@@ -299,7 +321,12 @@ class _AutSearch:
         branch in its orbit under that pointwise stabilizer.  So when a level
         is done, the path vertex's class in ``orbits`` is that orbit, and
         ``order`` takes its length as a factor: the product over the levels
-        is |Aut| (see the module docstring)."""
+        is |Aut| (see the module docstring).
+
+        The known automorphisms are merged into ``orbits`` just before
+        depth 0's branches (see the module docstring), and each one that
+        joins two orbits is yielded: it lies outside the group found so far,
+        as a witness does."""
         first, size = self.root[3], self.root[4]
         part = self._refine(self.root, [(f, f + k, None) for f, k in zip(first, size)])
         path: list[tuple[_Partition, int, list[int]]] = []  # per level
@@ -315,6 +342,10 @@ class _AutSearch:
         self.first_leaf = tuple(part[0])
         for depth in range(len(path) - 1, -1, -1):
             part, target, branches = path[depth]
+            if depth == 0:
+                for images in self.known:
+                    if self.orbits.merge(images):
+                        yield list(images)
             explored = [branches[0]]
             for v in branches[1:]:
                 rv = self.orbits.find(v)
@@ -361,19 +392,17 @@ class _AutSearch:
                 stack.extend((part, target, u, depth + 1)
                              for u in reversed(_cell(part, target)))
             else:
-                images = self._leaf(part[0])
-                if images is not None:
-                    return images
+                return self._leaf(part[0])
         return None
 
-    def _leaf(self, leaf: list[int]) -> list[int] | None:
+    def _leaf(self, leaf: list[int]) -> list[int]:
+        """The map from the first leaf to a leaf that passed ``_consistent``:
+        an automorphism, since that check found every arc's image to be an
+        arc and the arc counts equal, and the colors hold by construction
+        (cells refine the color classes position by position)."""
         images = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
             images[a] = b
-        # on a colored digraph this checks colors too, which hold by construction
-        # (cells refine the color classes position by position)
-        if not self.g.is_automorphism(images):
-            return None
         # never a member of the group found so far: it fixes the path above its
         # level and maps the path vertex there outside that vertex's orbit
         self.orbits.merge(images)

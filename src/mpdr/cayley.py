@@ -171,11 +171,15 @@ class MCayleyDigraph:
                 images[base + x] = base + self.group.mul(x, g)
         return Permutation(images)
 
+    def translations(self) -> list[Permutation]:
+        """The right translations by the group's designated generators, which
+        generate R(G); none for a group given by a bare table."""
+        return [self.right_translation(g) for g in self.group.designated_generators]
+
     def right_regular_group(self) -> PermGroup:
-        """The group of all right translations, generated by the designated
-        generators; semiregular with the parts as orbits."""
-        gens = [self.right_translation(g) for g in self.group.designated_generators]
-        return PermGroup(self.m * self.n, gens)
+        """The group of all right translations, generated by
+        :meth:`translations`; semiregular with the parts as orbits."""
+        return PermGroup(self.m * self.n, self.translations())
 
     def __repr__(self) -> str:
         return f"MCayleyDigraph(m={self.m}, group_order={self.n})"

@@ -192,15 +192,19 @@ class OrbitPartition:
     def orbit_length(self, x: int) -> int:
         return self.size[self.find(x)]
 
-    def merge(self, images: Sequence[int]) -> None:
-        """Join each point i with images[i]: add one generator's orbits."""
+    def merge(self, images: Sequence[int]) -> bool:
+        """Join each point i with images[i]: add one generator's orbits.
+        True when two classes were joined."""
         find, parent, size = self.find, self.parent, self.size
+        joined = False
         for i, j in enumerate(images):
             ri, rj = find(i), find(j)
             if ri != rj:
                 lo, hi = (ri, rj) if ri < rj else (rj, ri)
                 parent[hi] = lo
                 size[lo] += size[hi]
+                joined = True
+        return joined
 
 
 class PermGroup:

@@ -7,10 +7,16 @@ uncolored, so the verdict searches it as built; the part-respecting
 cross-check (``color_blind=False``) searches ``MCayleyDigraph.part_colored``.
 
 Verdicts and the criterion check read |Aut| and its generators off the
-search (``autgroup.automorphisms``) and build no stabilizer chain.  The
+search (``autgroup.automorphisms``) and build no stabilizer chain.  Their
+searches of Aut start from R(G): R(G) lies in Aut by construction, so they
+pass the translations by the group's designated generators
+(``MCayleyDigraph.translations``) as known automorphisms, and the search
+is left only to rule out anything beyond R(G).  A group given by a bare
+table has no designated generators and is searched unseeded.  The
 stabilizer of a vertex u in the color-blind Aut is the automorphism group
 of the digraph with u alone in its own color class, so the criterion check
-reads each stabilizer's generators off one more search.
+reads each stabilizer's generators off one more search, unseeded, since no
+translation fixes u.
 """
 
 from __future__ import annotations
@@ -66,13 +72,15 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
 
     The verdict is positive when the digraph is regular and its full
     automorphism group has order exactly |G| (the right translations
-    always embed, so equality of orders means equality of groups).  When
-    the verdict is negative and the digraph is regular, the report carries
-    a witness generator lying outside the translation group.
+    always embed, so equality of orders means equality of groups).  The
+    search starts from R(G) (see the module docstring).  When the verdict
+    is negative and the digraph is regular, the report carries a witness
+    generator lying outside the translation group.
     """
     check_pdr_input(spec, group.order)
     x = MCayleyDigraph(group, spec)
-    aut = automorphisms(x.digraph if color_blind else x.part_colored())
+    aut = automorphisms(x.digraph if color_blind else x.part_colored(),
+                        [t.images for t in x.translations()])
     if aut.order % group.order:
         # R(G) is a subgroup of Aut, so Lagrange's theorem fails only on a
         # miscounting search
@@ -149,7 +157,7 @@ def stabilizer_criterion_check(
             raise ValueError(f"chosen vertex {u} is not in part {i}")
     g = x.digraph
     if aut is None:
-        aut = automorphisms(g)
+        aut = automorphisms(g, [t.images for t in x.translations()])
 
     connected = g.is_connected()
     parts_fixed = [generators_fix_setwise(aut.generators, part) for part in x.parts()]

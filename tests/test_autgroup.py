@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import itertools
 import json
@@ -495,6 +496,69 @@ def test_is_rigid_stops_at_first_automorphism(monkeypatch):
     assert len(found) == 1 + 6  # one per path level: target cells of 7 down to 2
 
 
+def leaf_maps(digraph: Digraph):
+    """Every leaf of the digraph's individualize-and-refine tree, unpruned,
+    as (the map from the search's first leaf to it, whether ``_consistent``
+    accepts that map), the check ``_witness`` runs before ``_leaf``."""
+    search = autgroup._AutSearch(digraph)
+    for _ in search.run():  # sets first_leaf, and refines root in place
+        pass
+    stack = [search.root]
+    while stack:
+        part = stack.pop()
+        _, _, target = autgroup._summary(part)
+        if target is None:
+            images = [0] * digraph.n
+            for a, b in zip(search.first_leaf, part[0]):
+                images[a] = b
+            yield images, search._consistent(search.first_leaf, tuple(part[0]))
+        else:
+            stack.extend(search._child(part, target, v) for v in autgroup._cell(part, target))
+
+
+def cycle_union(rng, n: int) -> Digraph:
+    """Disjoint cycles of random lengths (each directed or joined both ways)
+    on a random labelling of n vertices: refinement cannot tell cycles of
+    different lengths apart, so some leaves map one onto another."""
+    order = rng.sample(range(n), n)
+    arcs, start = set(), 0
+    while n - start >= 2:
+        k = rng.randint(2, n - start)
+        k += n - start - k == 1  # leave no single vertex over
+        cycle = order[start:start + k]
+        both = rng.random() < 0.5
+        for i in range(k):
+            arcs.add((cycle[i], cycle[(i + 1) % k]))
+            if both:
+                arcs.add((cycle[(i + 1) % k], cycle[i]))
+        start += k
+    return Digraph(n, sorted(arcs))
+
+
+def test_consistent_leaf_is_an_automorphism():
+    """``_leaf`` keeps its map unchecked: a leaf map that passes
+    ``_consistent`` is an automorphism, by ``is_automorphism`` and by brute
+    force, and one that fails it is not.  On every loopless digraph with
+    n <= 4 and on seeded random digraphs with n <= 8."""
+    digraphs = []
+    for n in range(1, 5):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        digraphs += [Digraph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                     for mask in range(1 << len(pairs))]
+    rng = random.Random(3)
+    for k in range(80):
+        n = rng.randint(2, 8)
+        digraphs.append(cycle_union(rng, n) if k % 2 else
+                        random_digraph(rng, n, rng.choice([0.2, 0.4]), colored=k % 4 == 0))
+    outcomes = collections.Counter()
+    for digraph in digraphs:
+        aut = brute_force_automorphisms(digraph).group
+        for images, consistent in leaf_maps(digraph):
+            assert consistent == digraph.is_automorphism(images) == aut.contains(images)
+            outcomes[consistent] += 1
+    assert outcomes[True] and outcomes[False], outcomes  # both outcomes are checked
+
+
 def chain_cross_check_cases() -> dict[str, Digraph]:
     """The searches of test_chain_pin.py and of search_golden.json."""
     cases = {f"chain-pin-{name}": digraph for name, digraph in search_corpus()}
@@ -530,11 +594,11 @@ def test_automorphisms_builds_no_chain(monkeypatch):
 
 def chain_report(group: FiniteGroup, spec: ConnectionSpec,
                  color_blind: bool) -> VerificationReport:
-    """is_pdr's report computed from the stabilizer chain of
-    ``automorphism_search``, the way is_pdr computed it before it read the
-    search's result."""
+    """is_pdr's report computed from the stabilizer chain of an unseeded
+    search (``automorphisms`` with no known maps), the way is_pdr computed
+    it before it read the search's result and started from R(G)."""
     x = MCayleyDigraph(group, spec)
-    result = automorphism_search(x.digraph if color_blind else x.part_colored())
+    result = automorphisms(x.digraph if color_blind else x.part_colored())
     aut = result.group
     valency = x.digraph.regular_valency()
     witness = None
@@ -572,14 +636,53 @@ def family_specs() -> list[tuple[str, FiniteGroup, ConnectionSpec]]:
 
 @pytest.mark.parametrize("color_blind", [True, False])
 def test_is_pdr_matches_chain_report(color_blind):
+    """is_pdr's search starts from R(G), so it explores fewer nodes; every
+    other field of its report (verdict, order, parts fixed, witness) equals
+    the unseeded search's, read off its chain."""
     negatives = 0
     for name, group, spec in family_specs():
         report = is_pdr(group, spec, color_blind=color_blind)
         expected = chain_report(group, spec, color_blind)
-        assert dataclasses.replace(report, elapsed=0.0) == expected, name
+        assert (dataclasses.replace(report, search_nodes=0, elapsed=0.0)
+                == dataclasses.replace(expected, search_nodes=0)), name
         negatives += report.extra_automorphism_witness is not None
     # color-blind: the 16 Z2 three-part specs and the 3 part swaps
     assert negatives == (19 if color_blind else 1)
+
+
+def test_known_translations_keep_order_and_generators():
+    """Seeding the search with any set of right translations leaves |Aut|
+    alone: on random m-Cayley digraphs over Z4 (m = 2) and Z3 (m = 2, 3),
+    the order is the brute force's for random subsets of the translations,
+    and the generators pass the chain's order check."""
+    rng = random.Random(34)
+    seeded = 0
+    for n, m, specs in ((4, 2, 6), (3, 2, 6), (3, 3, 4)):
+        group = FiniteGroup.cyclic(n)
+        for _ in range(specs):
+            sets = {(i, j): rng.sample(range(n), rng.randint(1, n))
+                    for i in range(m) for j in range(m) if rng.random() < 0.5}
+            x = MCayleyDigraph(group, ConnectionSpec.from_sets(m, n, sets))
+            translations = [x.right_translation(g).images for g in range(n)]
+            digraphs = [x.digraph] + ([x.part_colored()] if m * n <= 8 else [])
+            for digraph in digraphs:
+                expected = brute_force_automorphisms(digraph).order
+                for _ in range(4):
+                    known = rng.sample(translations, rng.randint(0, n))
+                    result = automorphisms(digraph, known)
+                    assert result.order == expected == result.group.order, (sets, known)
+                    seeded += bool(known)
+    assert seeded > 50
+
+
+def test_known_map_must_be_an_automorphism():
+    x = MCayleyDigraph(FiniteGroup.cyclic(5), cyclic_2pdr(5))
+    swap = list(range(5, 10)) + list(range(5))  # exchanges the parts: not an automorphism
+    assert not x.digraph.is_automorphism(swap)
+    for bad in (swap, list(range(9)), [0] * 10):
+        with pytest.raises(ValueError, match="^known map 1 is not an automorphism "
+                                             "of the digraph$"):
+            automorphisms(x.digraph, [x.right_translation(1).images, bad])
 
 
 def test_is_pdr_lagrange_guard(monkeypatch):
@@ -811,8 +914,8 @@ def test_criterion_stabilizers_match_chain(monkeypatch, s3):
     verdict on the vertex's out-neighborhood."""
     searched = []
 
-    def recording(digraph):
-        searched.append(automorphisms(digraph))
+    def recording(digraph, known=()):
+        searched.append(automorphisms(digraph, known))
         return searched[-1]
 
     monkeypatch.setattr(verify, "automorphisms", recording)

@@ -104,6 +104,8 @@ CLI_FILES = {
     "long_point": "perm 5\n(0 " + "9" * 5000 + ")\n",  # more digits than int() reads
     "c5_top_key": cyclic_2pdr(5).to_json().replace('{', '{"junk": 1, ', 1),
     "c5_entry_key": cyclic_2pdr(5).to_json().replace('"elements"', '"weight": 2, "elements"', 1),
+    "z1000": "cyclic 1000\n",
+    "c1000": cyclic_2pdr(1000).to_json(),  # the benchmark's 2,000-vertex verify input
 }
 
 
@@ -118,6 +120,9 @@ CLI_CASES = {
                         lambda out: json.loads(out)["n"] == 5000),
     "verify-z7": ("verify --group {z7} --spec {c7}", 0,
                   lambda out: json.loads(out)["report"]["aut_order"] == "7"),
+    "verify-z1000": ("verify --group {z1000} --spec {c1000}", 0,  # seeded with R(G)
+                     lambda out: (json.loads(out)["report"]["aut_order"],
+                                  json.loads(out)["report"]["search_nodes"]) == ("1000", 3)),
     "export-z5": ("export --group {z5} --spec {c5}", 0,  # 10 digons, 20 "->" lines
                   lambda out: (out.count("dir=none"), out.count("->")) == (10, 20)),
     "aut-k5-oracle": ("aut --digraph {k5} --oracle", 0,
@@ -557,13 +562,15 @@ def test_aut_from_group_and_spec(capsys, files):
 
 @pytest.mark.parametrize("argv, code, order, nodes", [
     (["aut"], 0, "24", 10),
-    (["verify"], 1, "48", 13),
-    (["verify", "--parts-as-colors"], 1, "24", 10),
+    (["verify"], 1, "48", 10),
+    (["verify", "--parts-as-colors"], 1, "24", 7),
 ])
 def test_readme_color_example(capsys, files, argv, code, order, nodes):
     """README's example: over Z6 with T01 = {1, 2, 4} and T10 = {0, 1, 3},
     the part swap doubles the part-preserving group of order 24, which
-    ``aut --group --spec`` and ``verify --parts-as-colors`` report."""
+    ``aut --group --spec`` and ``verify --parts-as-colors`` report.  The
+    two search the same digraph for the same group, but ``verify`` starts
+    from R(G), so it reports fewer nodes."""
     z6 = files["tmp"] / "z6.grp"
     z6.write_text("cyclic 6\n")
     spec = files["tmp"] / "z6.spec"

@@ -205,3 +205,21 @@ def test_simple_groups_two_generated_m3(name):
     assert check_verdict(group, spec) == "positive"
     report = is_pdr(*_relabeled(group, spec, random.Random(order)))
     assert report.is_pdr and report.aut_order == order
+
+
+@pytest.mark.parametrize("name", ["PSL(2,7)", "A6", "PSL(2,8)"])
+def test_simple_groups_two_generated_m4(name):
+    """two_generated_mpdr at m = 4, up to PSL(2,8) on 2,016 vertices, next
+    to the cap: positive with |Aut| = |G| from the search seeded with the
+    translations by the designated generators, and from the unseeded search
+    of the renamed row table, which has none."""
+    build, order = SIMPLE_GROUPS[name]
+    group = FiniteGroup.from_permutations(*build())
+    assert 4 * order <= VERTEX_CAP
+    spec = two_generated_mpdr(group, *group.designated_generators, 4)
+    report = is_pdr(group, spec)
+    assert report.is_pdr and report.aut_order == order
+    table, renamed = _relabeled(group, spec, random.Random(order))
+    assert table.designated_generators == ()
+    report = is_pdr(table, renamed)
+    assert report.is_pdr and report.aut_order == order
