@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .digraphs import Digraph
 from .errors import FormatError, PreconditionError
@@ -141,7 +141,8 @@ class MCayleyDigraph:
         """The same arcs, each vertex colored by its part index: its
         automorphisms are the part-preserving ones."""
         g = self.digraph
-        return Digraph(g.n, g.arcs(), vertex_color=[v // self.n for v in range(g.n)])
+        return Digraph(g.n, ((u, v) for u in range(g.n) for v in g.out_adj[u]),
+                       vertex_color=[v // self.n for v in range(g.n)])
 
     def vertex(self, element: int, part: int) -> int:
         return part * self.n + element
@@ -185,15 +186,13 @@ class MCayleyDigraph:
         return f"MCayleyDigraph(m={self.m}, group_order={self.n})"
 
 
-def _arcs(group: FiniteGroup, entries: Iterable[tuple]) -> list[tuple[int, int]]:
+def _arcs(group: FiniteGroup, entries: Iterable[tuple]) -> Iterator[tuple[int, int]]:
+    """The arcs g_i -> (t*g)_j, yielded one at a time: ``Digraph`` reads them
+    once, so no arc list is ever held."""
     n = group.order
-    arcs = []
     for i, j, elems in entries:
         for t in elems:
-            row = group.row(t)
-            for g in range(n):
-                arcs.append((i * n + g, j * n + row[g]))
-    return arcs
+            yield from zip(range(i * n, (i + 1) * n), map((j * n).__add__, group.row(t)))
 
 
 def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:

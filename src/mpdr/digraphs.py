@@ -16,7 +16,8 @@ from .errors import FormatError, parse_int, read_text
 
 
 class Digraph:
-    """A digraph on vertices 0..n-1 with no duplicate arcs; loops allowed."""
+    """A digraph on vertices 0..n-1 with no duplicate arcs; loops allowed.
+    ``arcs`` may be any iterable of pairs; it is read once."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]],
                  vertex_color: Sequence[int] | None = None):
@@ -36,10 +37,13 @@ class Digraph:
             count += 1
         self.out_bits = tuple(out_bits)
         self.arc_count = count
-        self.out_adj = tuple(tuple(_bits(b)) for b in out_bits)
-        self.in_adj = tuple(tuple(_bits(b)) for b in in_mask)
+        # the three lists share one int object per vertex: past 256, where
+        # Python stops caching small ints, each entry would otherwise be its own
+        vertex = list(range(n))
+        self.out_adj = tuple(tuple(_bits(b, vertex)) for b in out_bits)
+        self.in_adj = tuple(tuple(_bits(b, vertex)) for b in in_mask)
         # per vertex, the out-neighbours joined both ways, loops excluded
-        self.digon_adj = tuple(tuple(_bits(o & i & ~(1 << v)))
+        self.digon_adj = tuple(tuple(_bits(o & i & ~(1 << v), vertex))
                                for v, (o, i) in enumerate(zip(out_bits, in_mask)))
         if vertex_color is not None:
             vertex_color = tuple(int(c) for c in vertex_color)
@@ -139,8 +143,9 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-def _bits(mask: int) -> Iterable[int]:
+def _bits(mask: int, vertex: list[int]) -> Iterable[int]:
+    """The vertices of a bitset, ascending, as the entries of ``vertex``."""
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        yield vertex[low.bit_length() - 1]
         mask ^= low

@@ -163,7 +163,8 @@ def stabilizer_criterion_check(
     parts_fixed = [generators_fix_setwise(aut.generators, part) for part in x.parts()]
     stab_fixes = []
     for u in chosen:
-        stab = automorphisms(Digraph(g.n, g.arcs(), [v == u for v in range(g.n)]))
+        arcs = ((a, b) for a in range(g.n) for b in g.out_adj[a])
+        stab = automorphisms(Digraph(g.n, arcs, [v == u for v in range(g.n)]))
         stab_fixes.append(all(s(w) == w for s in stab.generators for w in g.out_adj[u]))
     hypotheses = connected and all(parts_fixed) and all(stab_fixes)
     conclusion = aut.order == x.group.order

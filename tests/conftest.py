@@ -20,6 +20,35 @@ def uncolored(digraph: Digraph) -> Digraph:
     return Digraph(digraph.n, digraph.arcs())
 
 
+DIGRAPH_FIELDS = ("n", "out_bits", "out_adj", "in_adj", "digon_adj", "arc_count", "vertex_color")
+
+
+def digraph_fields(digraph: Digraph) -> dict:
+    """Every field a digraph holds, by name."""
+    return {name: getattr(digraph, name) for name in DIGRAPH_FIELDS}
+
+
+def fields_from_arcs(n: int, arcs, vertex_color=None) -> dict:
+    """The fields ``digraph_fields`` reads, computed here straight from an arc
+    set: sorted out-, in- and digon lists (loops are no digons), bitsets."""
+    arcs = set(arcs)
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    for u, v in sorted(arcs):
+        out[u].append(v)
+        inn[v].append(u)
+    return {
+        "n": n,
+        "out_bits": tuple(sum(1 << v for v in row) for row in out),
+        "out_adj": tuple(map(tuple, out)),
+        "in_adj": tuple(map(tuple, inn)),
+        "digon_adj": tuple(tuple(v for v in out[u] if v != u and (v, u) in arcs)
+                           for u in range(n)),
+        "arc_count": len(arcs),
+        "vertex_color": None if vertex_color is None else tuple(vertex_color),
+    }
+
+
 def k_step_out_neighborhood(digraph: Digraph, v: int, k: int) -> set[int]:
     """Vertices reachable from v by exactly k arc-steps (as a set union, so a
     vertex reached along several walks is counted once)."""

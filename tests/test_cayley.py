@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 
-from mpdr import (ConnectionSpec, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
-                  PreconditionError, cayley_digraph, is_semiregular,
-                  part_swap_automorphism)
+from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
+                  PreconditionError, cayley_digraph, cyclic_2pdr, is_semiregular,
+                  part_swap_automorphism, two_generated_mpdr)
 
-from conftest import assert_refused, induced_subdigraph
+from conftest import A5_GENS, assert_refused, digraph_fields, fields_from_arcs, induced_subdigraph
+from test_autgroup import family_specs
 
 
 def lemma_spec_z5():
@@ -271,3 +273,43 @@ def test_vertex_labels():
                        ConnectionSpec.from_sets(2, 3, {(0, 1): (0,)}))
     assert x.vertex_label(0) == "1_0"
     assert x.vertex_label(4) == "x_1"
+
+
+def test_streamed_build_matches_the_arc_rule():
+    """Each family digraph, built from arcs streamed once, and its part
+    colouring equal the digraph of the arc rule g_i -> (t*g)_j computed
+    here, field by field, whether that digraph reads the arcs from a
+    one-shot iterator or from a list."""
+    for name, group, spec in family_specs():
+        n = group.order
+        arcs = [(i * n + g, j * n + group.mul(t, g))
+                for i, j, elems in spec.entries for t in elems for g in range(n)]
+        x = MCayleyDigraph(group, spec)
+        parts = [v // n for v in range(x.digraph.n)]
+        for built, color in ((x.digraph, None), (x.part_colored(), parts)):
+            expected = fields_from_arcs(spec.m * n, arcs, color)
+            assert digraph_fields(built) == expected, name
+            assert digraph_fields(Digraph(spec.m * n, iter(arcs), color)) == expected, name
+            assert digraph_fields(Digraph(spec.m * n, list(arcs), color)) == expected, name
+
+
+def build_peak(build) -> int:
+    """Bytes at the tracemalloc peak of one call, counted from its start."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_holds_no_arc_list():
+    """Building a 2,000-vertex m-Cayley digraph peaks below 1.6 MB: the arcs
+    stream into the digraph, and its adjacency lists share one int per
+    vertex.  A 6,000-arc list, or one int per adjacency entry, would each
+    push the peak past the bound."""
+    z1000 = FiniteGroup.cyclic(1000)
+    a5 = FiniteGroup.from_permutations(5, A5_GENS)
+    for group, spec in ((z1000, cyclic_2pdr(1000)),
+                        (a5, two_generated_mpdr(a5, *a5.designated_generators, 34))):
+        assert build_peak(lambda: MCayleyDigraph(group, spec)) < 1_600_000

@@ -5,7 +5,8 @@ import pytest
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
                   cayley_digraph, cyclic_2pdr)
 
-from conftest import assert_refused, hamiltonian_oriented_cycles, induced_subdigraph, k_step_out_neighborhood
+from conftest import (assert_refused, digraph_fields, fields_from_arcs, hamiltonian_oriented_cycles,
+                      induced_subdigraph, k_step_out_neighborhood)
 
 
 def random_digraph(rng, n, p, loops=False):
@@ -45,6 +46,61 @@ def test_constructor_validation():
     loop = Digraph(3, [(1, 1)])
     assert loop.out_bits[1] >> 1 & 1 and loop.arc_count == 1
     assert loop.out_adj[1] == loop.in_adj[1] == (1,)
+
+
+def random_arc_list(rng, n, k):
+    """k random heads per vertex, loops allowed, plus the reverse of every
+    third arc, so that digons occur; shuffled."""
+    arcs = {(u, v) for u in range(n) for v in rng.sample(range(n), min(k, n))}
+    arcs |= {(v, u) for u, v in sorted(arcs)[::3]}
+    arcs = sorted(arcs)
+    rng.shuffle(arcs)
+    return arcs
+
+
+def test_streamed_build_equals_list_build():
+    """Arcs read once from an iterator give the same digraph as the same arcs
+    in a list, field by field, and the fields match the arc set: 80 seeded
+    arc lists on up to 40 vertices, with loops, digons and colors, and one
+    on 600 vertices."""
+    rng = random.Random(38)
+    cases = [(n, random_arc_list(rng, n, rng.randint(0, 5))) for n in rng.choices(range(1, 41), k=80)]
+    cases.append((600, random_arc_list(rng, 600, 3)))
+    loops = digons = 0
+    for n, arcs in cases:
+        color = [rng.randrange(3) for _ in range(n)] if rng.random() < 0.5 else None
+        streamed = digraph_fields(Digraph(n, iter(arcs), color))
+        assert streamed == digraph_fields(Digraph(n, list(arcs), color))
+        assert streamed == fields_from_arcs(n, arcs, color)
+        loops += any(u == v for u, v in arcs)
+        digons += any(streamed["digon_adj"])
+    assert loops > 20 and digons > 20
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 2), (0, 5), (5, 0), (-1, 3)],
+                         ids=["duplicate", "duplicate-loop", "head-out-of-range",
+                              "tail-out-of-range", "negative"])
+def test_streamed_build_refuses_like_the_list(bad):
+    """A bad arc part-way through a one-shot iterator raises the same
+    ValueError as in a list."""
+    arcs = [(0, 1), (1, 2), (2, 2), bad, (3, 4)]
+    with pytest.raises(ValueError) as from_list:
+        Digraph(5, list(arcs))
+    stream = iter(arcs)
+    with pytest.raises(ValueError) as from_stream:
+        Digraph(5, stream)
+    assert str(from_stream.value) == str(from_list.value)
+    assert list(stream) == [(3, 4)]  # read up to the bad arc and no further
+
+
+def test_adjacency_holds_one_int_per_vertex():
+    """Past 256 vertices, where Python stops sharing small ints, the out-, in-
+    and digon lists still hold at most one int object per vertex."""
+    for g in (Digraph(600, random_arc_list(random.Random(600), 600, 3)),
+              MCayleyDigraph(FiniteGroup.cyclic(500), cyclic_2pdr(500)).digraph):
+        entries = [v for adj in (g.out_adj, g.in_adj, g.digon_adj) for row in adj for v in row]
+        assert len(entries) > 2 * g.n
+        assert len({id(v) for v in entries}) <= g.n
 
 
 def test_transpose_consistency():
