@@ -2,18 +2,17 @@
 
 from .autgroup import (AutSearchResult, automorphism_search, automorphisms,
                        brute_force_automorphisms)
-from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph, part_swap_automorphism
+from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph
 from .constructions import (cyclic_2pdr, cyclic_mpdr, drr_to_2pdr, find_valency2_orr,
                             two_generated_mpdr)
 from .digraphs import Digraph
 from .errors import (CapExceededError, FormatError, MpdrError, PreconditionError,
                      SearchExhaustedError)
 from .groups import FiniteGroup
-from .perms import PermGroup, Permutation, is_semiregular
+from .perms import PermGroup, Permutation
 from .search import (SearchVerdict, exhaust_2partite_valency3, exhaust_z2_m3_valency3,
                      find_valency2_drr, translate_relation, trivial_aut_3regular_search)
-from .verify import (StabilizerCriterionReport, VerificationReport, is_pdr,
-                     stabilizer_criterion_check)
+from .verify import VerificationReport, is_pdr
 
 __version__ = "0.1.0"
 
@@ -21,10 +20,9 @@ __all__ = [
     "AutSearchResult", "CapExceededError", "ConnectionSpec", "Digraph",
     "FiniteGroup", "FormatError", "MCayleyDigraph", "MpdrError", "PermGroup",
     "Permutation", "PreconditionError", "SearchExhaustedError", "SearchVerdict",
-    "StabilizerCriterionReport", "VerificationReport", "automorphism_search",
-    "automorphisms", "brute_force_automorphisms", "cayley_digraph", "cyclic_2pdr",
-    "cyclic_mpdr", "drr_to_2pdr", "exhaust_2partite_valency3", "exhaust_z2_m3_valency3",
-    "find_valency2_drr", "find_valency2_orr", "is_pdr", "is_semiregular",
-    "part_swap_automorphism", "stabilizer_criterion_check", "translate_relation",
+    "VerificationReport", "automorphism_search", "automorphisms",
+    "brute_force_automorphisms", "cayley_digraph", "cyclic_2pdr", "cyclic_mpdr",
+    "drr_to_2pdr", "exhaust_2partite_valency3", "exhaust_z2_m3_valency3",
+    "find_valency2_drr", "find_valency2_orr", "is_pdr", "translate_relation",
     "trivial_aut_3regular_search", "two_generated_mpdr", "__version__",
 ]

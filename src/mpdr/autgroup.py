@@ -18,10 +18,10 @@ of the path vertex's orbit under the automorphisms found at that level and
 below, which fix the path vertices above it (McKay & Piperno 2014, as nauty
 reports group size; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 So :func:`automorphisms` reads the order and the generators off the search
-and builds no stabilizer chain; ``verify.is_pdr``,
-``verify.stabilizer_criterion_check``, the searches and the CLI's ``verify``
-and ``aut`` read their answers from it, and :func:`first_automorphism` stops
-at the first automorphism found: a digraph is rigid when it returns None.
+and builds no stabilizer chain; ``verify.is_pdr``, the searches and the
+CLI's ``verify`` and ``aut`` read their answers from it, and
+:func:`first_automorphism` stops at the first automorphism found: a
+digraph is rigid when it returns None.
 A chain is built only on the first read of ``AutSearchResult.group``: by
 :func:`automorphism_search`, once, from the generator list, with its order
 checked against the search's.  The brute-force oracle returns the same

@@ -198,28 +198,3 @@ def _arcs(group: FiniteGroup, entries: Iterable[tuple]) -> Iterator[tuple[int, i
 def cayley_digraph(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
     """The classical Cayley digraph on the group itself: arcs g -> s*g."""
     return Digraph(group.order, _arcs(group, [(0, 0, sorted(set(connection)))]))
-
-
-def part_swap_automorphism(x: MCayleyDigraph, y: int) -> Permutation:
-    """For an abelian 2-part construction whose connection sets satisfy
-    T[0,1] = y * T[1,0], the swap  g_0 -> (y*g)_1,  g_1 -> g_0  preserves
-    arcs.  It exchanges the two parts, so it certifies that the full
-    automorphism group is strictly larger than the right translations.
-    """
-    if x.m != 2:
-        raise PreconditionError("part swap requires exactly 2 parts")
-    if not x.group.is_abelian():
-        raise PreconditionError("part swap requires an abelian group")
-    x.group._check(y)
-    t01 = x.spec.set_for(0, 1)
-    t10 = x.spec.set_for(1, 0)
-    shifted = tuple(sorted(x.group.mul(y, t) for t in t10))
-    if shifted != t01:
-        raise PreconditionError(
-            f"T[0,1] != y*T[1,0] for y={y}: {t01} vs {shifted}")
-    n = x.n
-    images = [0] * (2 * n)
-    for g in range(n):
-        images[g] = n + x.group.mul(y, g)
-        images[n + g] = g
-    return Permutation(images)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import warnings
 
-from .autgroup import automorphisms, check_vertex_count
+from .autgroup import VERTEX_CAP, automorphisms, check_vertex_count
 from .cayley import ConnectionSpec, cayley_digraph
-from .errors import PreconditionError, SearchExhaustedError
+from .errors import CapExceededError, PreconditionError, SearchExhaustedError
 from .groups import FiniteGroup
 from .search import scan_valency2
 from .verify import is_pdr
@@ -33,7 +33,8 @@ def cyclic_2pdr(n: int) -> ConnectionSpec:
 
 
 def cyclic_mpdr(n: int, m: int) -> ConnectionSpec:
-    """m-part valency-3 representation of the cyclic group of order n, m >= 3.
+    """m-part valency-3 representation of the cyclic group of order n, for
+    3 <= m <= ``VERTEX_CAP``.
 
     Dispatches on the order:
       - n = 2, m = 4: a crossed two-generator pattern on four parts;
@@ -48,6 +49,7 @@ def cyclic_mpdr(n: int, m: int) -> ConnectionSpec:
     """
     if m < 3:
         raise PreconditionError(f"this family needs at least 3 parts, got m={m}")
+    _check_part_count(m)
     if n < 2:
         raise PreconditionError(
             "the trivial group is out of scope for this family (its valency-3 "
@@ -80,7 +82,8 @@ def cyclic_mpdr(n: int, m: int) -> ConnectionSpec:
 
 
 def two_generated_mpdr(group: FiniteGroup, x: int, y: int, m: int) -> ConnectionSpec:
-    """m-part valency-3 representation of a group generated by {x, y}, m >= 3.
+    """m-part valency-3 representation of a group generated by {x, y}, for
+    3 <= m <= ``VERTEX_CAP``.
 
     Sets: T[0,1] = {x, y}; T[i,i+1] = {1, x} for i != 0; T[j,j-1] = {1} for
     every j.  Identity generators degrade the construction (the forward band
@@ -89,6 +92,7 @@ def two_generated_mpdr(group: FiniteGroup, x: int, y: int, m: int) -> Connection
     """
     if m < 3:
         raise PreconditionError(f"this family needs at least 3 parts, got m={m}")
+    _check_part_count(m)
     group._check(x)
     group._check(y)
     if x == y:
@@ -105,6 +109,14 @@ def two_generated_mpdr(group: FiniteGroup, x: int, y: int, m: int) -> Connection
     for j in range(m):
         sets[(j, (j - 1) % m)] = (0,)
     return ConnectionSpec.from_sets(m, group.order, sets)
+
+
+def _check_part_count(m: int) -> None:
+    """Refuse more parts than the search takes vertices, before anything is
+    built: such a spec is over the vertex cap for every group."""
+    if m > VERTEX_CAP:
+        raise CapExceededError(
+            f"part count {m} exceeds the automorphism search's cap of {VERTEX_CAP} vertices")
 
 
 def find_valency2_orr(group: FiniteGroup) -> tuple[int, int] | None:

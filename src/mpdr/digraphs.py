@@ -67,18 +67,6 @@ class Digraph:
         """All pairs {u, v} joined by arcs both ways, as (u, v) with u < v."""
         return [(u, v) for u in range(self.n) for v in self.digon_adj[u] if u < v]
 
-    def is_connected(self) -> bool:
-        """Weak connectivity: every vertex is reached from 0 along arcs
-        taken in either direction."""
-        seen, stack = {0}, [0]
-        while stack:
-            u = stack.pop()
-            for v in self.out_adj[u] + self.in_adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
-
     # -- automorphism support --------------------------------------------------
 
     def is_automorphism(self, images: Sequence[int]) -> bool:

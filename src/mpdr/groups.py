@@ -4,8 +4,8 @@ A group is stored as its full multiplication table, built once by the
 constructor that knows its structure and kept as one ``array('H')`` per
 column, ``_cols[b][a] = mul(a, b)``: 2 bytes per product.  A cyclic group's
 columns (which are also its rows) are slices of one array, 0..n-1 twice.
-Only ``mul``, ``row`` and ``is_abelian`` read the table, and everything
-else goes through the first two; ``row(a)`` builds its tuple on each call.
+Only ``mul`` and ``row`` read the table, and everything else goes through
+them; ``row(a)`` builds its tuple on each call.
 Both constructors refuse more than ``CLOSURE_CAP`` elements.  Index 0 is
 always the identity, which keeps connection-set literals stable across
 runs.  The product convention is ``table(a, b) = "a then b"``: for groups
@@ -171,10 +171,6 @@ class FiniteGroup:
     def generates(self, subset: Iterable[int]) -> bool:
         """True iff the closure of the subset (with the identity) is the group."""
         return len(closure(sorted(set(subset)), self.mul, 0)[1]) == self.order
-
-    def is_abelian(self) -> bool:
-        """True iff every element's row equals its column."""
-        return all(tuple(col) == self.row(a) for a, col in enumerate(self._cols))
 
     def label(self, a: int) -> str:
         """The name of element a: ``x^i`` for the i-th power in ``cyclic``,

@@ -458,8 +458,3 @@ def closure(elements: Iterable, mul: Callable, identity) -> tuple[list, set]:
                     reps.append(y)
                     group.update([mul(h, y) for h in old])
     return kept, group
-
-
-def is_semiregular(group: PermGroup) -> bool:
-    """True iff only the identity fixes a point: every orbit has full size."""
-    return all(len(orb) == group.order for orb in group.orbits())

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from mpdr import Digraph, FiniteGroup
+from mpdr import Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation, automorphisms
+from mpdr.perms import generators_fix_setwise
 
 # Permutation realizations used across the suite.  Indices of the two
 # designated generators are always 1 and 2 (BFS discovery order).
@@ -85,6 +86,65 @@ def hamiltonian_oriented_cycles(digraph: Digraph) -> list[tuple[int, ...]]:
         elif n > 1 and 0 in plain[path[-1]]:
             found.append(path)
     return sorted(found)
+
+
+def is_connected(digraph: Digraph) -> bool:
+    """Weak connectivity: every vertex is reached from 0 along arcs taken in
+    either direction."""
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in digraph.out_adj[u] + digraph.in_adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == digraph.n
+
+
+def is_abelian(group: FiniteGroup) -> bool:
+    """Every pair of elements commutes."""
+    return all(group.mul(a, b) == group.mul(b, a)
+               for a in range(group.order) for b in range(a))
+
+
+def is_semiregular(group: PermGroup) -> bool:
+    """Only the identity fixes a point: every orbit has the group's order."""
+    return all(len(orbit) == group.order for orbit in group.orbits())
+
+
+def part_swap(x: MCayleyDigraph, y: int) -> Permutation:
+    """The map g_0 -> (y*g)_1, g_1 -> g_0 of a 2-part digraph.  It exchanges
+    the parts, and it preserves arcs when G is abelian and T[0,1] = y*T[1,0]
+    (unchecked here), so Aut is then larger than R(G)."""
+    return Permutation([x.n + x.group.mul(y, g) for g in range(x.n)] + list(range(x.n)))
+
+
+def stabilizer_criterion(x: MCayleyDigraph, chosen=None, aut=None) -> dict:
+    """The paper's regularity criterion on one instance: if the digraph is
+    connected, Aut fixes every part setwise, and the stabilizer of one chosen
+    vertex per part (by default each part's identity vertex) fixes that
+    vertex's out-neighborhood pointwise, then Aut = R(G).  ``aut`` is the
+    color-blind Aut when the caller has it (``order`` and ``generators``
+    suffice).  The stabilizer of u is Aut of the digraph with u alone in its
+    color class, so this runs m + 1 searches."""
+    g = x.digraph
+    if chosen is None:
+        chosen = [x.vertex(0, i) for i in range(x.m)]
+    if aut is None:
+        aut = automorphisms(g, [t.images for t in x.translations()])
+    stabs = [automorphisms(Digraph(g.n, g.arcs(), [v == u for v in range(g.n)]))
+             for u in chosen]
+    rep = {
+        "connected": is_connected(g),
+        "parts_fixed_setwise": [generators_fix_setwise(aut.generators, p) for p in x.parts()],
+        "stabilizer_fixes_out_neighborhood": [
+            all(s(w) == w for s in stab.generators for w in g.out_adj[u])
+            for u, stab in zip(chosen, stabs)],
+        "conclusion_holds": aut.order == x.group.order,
+    }
+    rep["hypotheses_hold"] = (rep["connected"] and all(rep["parts_fixed_setwise"])
+                              and all(rep["stabilizer_fixes_out_neighborhood"]))
+    return rep
 
 
 def assert_refused(call, refusal) -> None:

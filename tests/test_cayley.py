@@ -4,10 +4,10 @@ import tracemalloc
 import pytest
 
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
-                  PreconditionError, cayley_digraph, cyclic_2pdr, is_semiregular,
-                  part_swap_automorphism, two_generated_mpdr)
+                  PreconditionError, cayley_digraph, cyclic_2pdr, two_generated_mpdr)
 
-from conftest import A5_GENS, assert_refused, digraph_fields, fields_from_arcs, induced_subdigraph
+from conftest import (A5_GENS, assert_refused, digraph_fields, fields_from_arcs, induced_subdigraph,
+                      is_semiregular, part_swap)
 from test_autgroup import family_specs
 
 
@@ -205,7 +205,7 @@ def test_part_swap_all_of_g():
     z3 = FiniteGroup.cyclic(3)
     spec = ConnectionSpec.from_sets(2, 3, {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)})
     x = MCayleyDigraph(z3, spec)
-    tau = part_swap_automorphism(x, 0)
+    tau = part_swap(x, 0)
     assert x.digraph.is_automorphism(tau.images)
     assert {tau(v) for v in x.part(0)} == set(x.part(1))
     assert not PermGroup(6, [tau]).fixes_setwise(x.part(0))
@@ -216,7 +216,7 @@ def test_part_swap_z4_shifted():
     z4 = FiniteGroup.cyclic(4)
     spec = ConnectionSpec.from_sets(2, 4, {(0, 1): (1, 2, 3), (1, 0): (0, 1, 2)})
     x = MCayleyDigraph(z4, spec)
-    tau = part_swap_automorphism(x, 1)  # T[0,1] = x * T[1,0]
+    tau = part_swap(x, 1)  # T[0,1] = x * T[1,0]
     arcs = set(x.digraph.arcs())
     assert {(tau(u), tau(v)) for u, v in arcs} == arcs
 
@@ -224,19 +224,7 @@ def test_part_swap_z4_shifted():
 def test_part_swap_z5_never_applies():
     x = MCayleyDigraph(FiniteGroup.cyclic(5), lemma_spec_z5())
     for y in range(5):
-        with pytest.raises(PreconditionError):
-            part_swap_automorphism(x, y)
-
-
-def test_part_swap_other_preconditions(s3):
-    spec3 = ConnectionSpec.from_sets(3, 2, {(0, 1): (0,), (1, 2): (0,), (2, 0): (0,)})
-    x3 = MCayleyDigraph(FiniteGroup.cyclic(2), spec3)
-    with pytest.raises(PreconditionError, match="2 parts"):
-        part_swap_automorphism(x3, 0)
-    spec_s3 = ConnectionSpec.from_sets(2, 6, {(0, 1): (1,), (1, 0): (1,)})
-    xs3 = MCayleyDigraph(s3, spec_s3)
-    with pytest.raises(PreconditionError, match="abelian"):
-        part_swap_automorphism(xs3, 0)
+        assert not x.digraph.is_automorphism(part_swap(x, y).images)
 
 
 def test_part_swap_property_random_abelian(z2z4):
@@ -252,7 +240,7 @@ def test_part_swap_property_random_abelian(z2z4):
         t01 = tuple(group.mul(y, t) for t in t10)
         spec = ConnectionSpec.from_sets(2, n, {(0, 1): t01, (1, 0): t10})
         x = MCayleyDigraph(group, spec)
-        tau = part_swap_automorphism(x, y)
+        tau = part_swap(x, y)
         arcs = set(x.digraph.arcs())
         assert {(tau(u), tau(v)) for u, v in arcs} == arcs
 

@@ -138,6 +138,17 @@ CLI_CASES = {
                    lambda out: _aut_orders(out) == {8: 2048, 16: 576, 32: 256, 96: 64,
                                                     128: 112, 512: 56, 4608: 24}),
     "two-gen-a5": ("construct --family two-gen-mpdr --m 3 --group {a5}", 0, None),
+    # m past the vertex cap is refused unbuilt, for every group; m at the cap builds
+    "cyclic-mpdr-m-2048": ("construct --family cyclic-mpdr --n 3 --m 2048", 0,
+                           lambda out: json.loads(out)["m"] == 2048),
+    "cyclic-mpdr-m-2049": ("construct --family cyclic-mpdr --n 3 --m 2049", 2,
+                           "refused: part count 2049 exceeds the automorphism search's "
+                           "cap of 2048 vertices"),
+    "two-gen-a5-m-2048": ("construct --family two-gen-mpdr --m 2048 --group {a5}", 0,
+                          lambda out: json.loads(out)["m"] == 2048),
+    "two-gen-a5-m-2049": ("construct --family two-gen-mpdr --m 2049 --group {a5}", 2,
+                          "refused: part count 2049 exceeds the automorphism search's "
+                          "cap of 2048 vertices"),
     "two-gen-a5-repeated-line": ("construct --family two-gen-mpdr --m 3 --group {a5_repeat}",
                                  0, "two-gen-a5"),
     "drr2-unread-m": ("search --problem drr2 --group {z5} --m 3", 3,
