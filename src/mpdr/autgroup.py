@@ -26,6 +26,8 @@ A chain is built only on the first read of ``AutSearchResult.group``: by
 :func:`automorphism_search`, once, from the generator list, with its order
 checked against the search's.  The brute-force oracle returns the same
 report, its generators kept by ``perms.closure``, and builds no chain.
+The report holds no clock and no JSON form: the CLI times the call and
+writes the document (``cli._emit``).
 
 A caller that already has some automorphisms passes them to
 :func:`automorphisms` as ``known`` image sequences; each is checked once
@@ -62,7 +64,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -89,7 +90,6 @@ class AutSearchResult:
     order: int
     generators: list[Permutation]
     nodes_explored: int
-    elapsed: float
 
     @functools.cached_property
     def group(self) -> PermGroup:
@@ -105,13 +105,10 @@ class AutSearchResult:
 
 def automorphism_search(digraph: Digraph) -> AutSearchResult:
     """Like :func:`automorphisms`, with the stabilizer chain (``group``)
-    built before it returns; ``elapsed`` covers both.  No caller in the
-    package uses it: the benchmark (``perfbench/``) calls it and wraps it
-    by name."""
-    start = time.perf_counter()
+    built before it returns.  No caller in the package uses it: the
+    benchmark (``perfbench/``) calls it and wraps it by name."""
     result = automorphisms(digraph)
     result.group  # builds the chain, which checks the search's order
-    result.elapsed = time.perf_counter() - start
     return result
 
 
@@ -121,11 +118,9 @@ def automorphisms(digraph: Digraph, known: Iterable[Sequence[int]] = ()) -> AutS
     automorphisms the caller already has, as image sequences, to seed the
     search with (see the module docstring); one that is not an
     automorphism raises ValueError."""
-    start = time.perf_counter()
     search = _AutSearch(digraph, known)
     generators = [Permutation(images) for images in search.run()]
-    return AutSearchResult(digraph.n, search.order, generators, search.nodes,
-                           time.perf_counter() - start)
+    return AutSearchResult(digraph.n, search.order, generators, search.nodes)
 
 
 def first_automorphism(digraph: Digraph) -> tuple[int, ...] | None:
@@ -151,7 +146,6 @@ def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
     """Independent oracle: filter all n! vertex permutations by arc and
     color preservation (n <= 9).  ``order`` counts the survivors, of which
     ``perms.closure`` keeps the ``generators``, and ``nodes_explored`` is n!."""
-    start = time.perf_counter()
     n = digraph.n
     check_vertex_count(n, brute_force=True)
     col = digraph.vertex_color
@@ -173,7 +167,7 @@ def brute_force_automorphisms(digraph: Digraph) -> AutSearchResult:
 
     generators, _ = closure(survivors(), then, tuple(range(n)))
     return AutSearchResult(n, count, [Permutation._unchecked(g) for g in generators],
-                           math.factorial(n), time.perf_counter() - start)
+                           math.factorial(n))
 
 
 class _AutSearch:

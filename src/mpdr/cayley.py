@@ -144,9 +144,6 @@ class MCayleyDigraph:
         return Digraph(g.n, ((u, v) for u in range(g.n) for v in g.out_adj[u]),
                        vertex_color=[v // self.n for v in range(g.n)])
 
-    def vertex(self, element: int, part: int) -> int:
-        return part * self.n + element
-
     def vertex_part(self, v: int) -> int:
         return v // self.n
 

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: construct, verify, aut, export, search.  JSON reports are the
-single source of truth; every report embeds the tool version and a sha256
-of each input file.  Exit codes are a stable contract:
+single source of truth, and this module alone knows their format: ``_emit``
+writes every one, with the tool version, a sha256 of each input file, the
+command's keys and one ``elapsed_seconds``, the seconds ``_timed`` measured
+for the library call that computed the answer.  The library's result types
+are plain records with no clock.  Exit codes are a stable contract:
 
   0  success (for ``verify``: the representation property holds)
   1  verified false
@@ -30,7 +33,7 @@ from .digraphs import Digraph
 from .errors import (CapExceededError, FormatError, MpdrError, PreconditionError,
                      parse_int, read_text)
 from .groups import CLOSURE_CAP, FiniteGroup
-from .perms import Permutation, group_json
+from .perms import Permutation
 from .search import (EXHAUST_ORDER_CAP, SearchVerdict, check_exhaust_order,
                      exhaust_2partite_valency3, scan_valency2, translate_relation,
                      trivial_aut_3regular_search)
@@ -79,10 +82,6 @@ def _read(path: str, role: str, inputs: dict) -> str:
     return text
 
 
-def _envelope(inputs: dict) -> dict:
-    return {"tool": {"name": "mpdr", "version": __version__}, "inputs": inputs}
-
-
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the --out file, or to stdout without one."""
     if out:
@@ -94,7 +93,20 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _timed(compute: Callable) -> tuple[object, float]:
+    """``compute()`` and the seconds it took: the one clock of the reports.
+    A command calls it after its inputs are read and checked."""
+    start = time.perf_counter()
+    result = compute()
+    return result, time.perf_counter() - start
+
+
+def _emit(inputs: dict, body: dict, seconds: float, out: str | None) -> None:
+    """Write a report document: the tool, the ``inputs`` read (path and
+    sha256 each), the command's ``body`` and ``elapsed_seconds``, the
+    ``_timed`` seconds of the call that computed the answer."""
+    doc = {"tool": {"name": "mpdr", "version": __version__}, "inputs": inputs,
+           **body, "elapsed_seconds": round(seconds, 6)}
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
@@ -194,10 +206,12 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     inputs: dict = {}
     group, spec = _load_group_and_spec(args, inputs, check_pdr_input, VERTEX_CAP)
-    report = is_pdr(group, spec, color_blind=not args.parts_as_colors)
-    doc = _envelope(inputs)
-    doc["report"] = report.to_json_dict()
-    _emit(doc, args.out)
+    report, seconds = _timed(lambda: is_pdr(group, spec, color_blind=not args.parts_as_colors))
+    witness = report.extra_automorphism_witness
+    _emit(inputs, {"report": {
+        **vars(report), "aut_order": str(report.aut_order),
+        "extra_automorphism_witness": None if witness is None else witness.cycle_string(),
+    }}, seconds, args.out)
     return 0 if report.is_pdr else 1
 
 
@@ -208,13 +222,14 @@ def _cmd_aut(args) -> int:
         BRUTE_FORCE_CAP if args.oracle else VERTEX_CAP)
     if x is not None:  # the parts are vertex colors
         digraph = x.part_colored()
-    doc = _envelope(inputs)
-    result = (brute_force_automorphisms if args.oracle else automorphisms)(digraph)
-    doc["mode"] = "oracle" if args.oracle else "search"
-    doc["aut"] = group_json(result.degree, result.order, result.generators)
+    result, seconds = _timed(
+        lambda: (brute_force_automorphisms if args.oracle else automorphisms)(digraph))
+    body = {"mode": "oracle" if args.oracle else "search",
+            "aut": {"degree": result.degree, "order": str(result.order),
+                    "generators": [g.cycle_string() for g in result.generators]}}
     if not args.oracle:
-        doc["nodes_explored"] = result.nodes_explored
-    _emit(doc, args.out)
+        body["nodes_explored"] = result.nodes_explored
+    _emit(inputs, body, seconds, args.out)
     return 0
 
 
@@ -276,35 +291,30 @@ def _cmd_search(args) -> int:
             group = parse_group_text(f"cyclic {args.n}", check_exhaust_order)
         else:
             raise FormatError("exhaust-negative needs --n or --group")
-        recs = [{"t01": list(t01), "t10": list(t10), "aut_order": order,
-                 "shift_exponent": translate_relation(group, t01, t10)}
-                for (t01, t10), order in exhaust_2partite_valency3(group)]
-        doc = _envelope(inputs)
-        doc.update({
+        recs, seconds = _timed(lambda: [
+            {"t01": list(t01), "t10": list(t10), "aut_order": order,
+             "shift_exponent": translate_relation(group, t01, t10)}
+            for (t01, t10), order in exhaust_2partite_valency3(group)])
+        _emit(inputs, {
             "problem": "exhaust-negative",
             "parameters": {"group_order": group.order},
             "records": recs,
             "all_exceed_group_order": all(r["aut_order"] > group.order for r in recs),
-        })
-        _emit(doc, args.out)
+        }, seconds, args.out)
         return 0
     if args.problem == "rigid3":
-        verdict = trivial_aut_3regular_search(
+        verdict, seconds = _timed(lambda: trivial_aut_3regular_search(
             args.m, args.mode, budget=args.budget, oriented=args.oriented,
-            jobs=args.jobs, seed=args.seed)
+            jobs=args.jobs, seed=args.seed))
     else:  # drr2
         # each Cayley digraph searched has |G| vertices
         group = _load_group(args.group, inputs, check_vertex_count, VERTEX_CAP)
-        start = time.perf_counter()
-        pair, tested = scan_valency2(group, inverse_free=False)
+        (pair, tested), seconds = _timed(lambda: scan_valency2(group, inverse_free=False))
         verdict = SearchVerdict(
             "drr2", {"group_order": group.order},
             "none-exists" if pair is None else "witness-found",
-            None if pair is None else {"pair": list(pair)},
-            tested, time.perf_counter() - start)
-    doc = _envelope(inputs)
-    doc.update(verdict.to_json_dict())
-    _emit(doc, args.out)
+            None if pair is None else {"pair": list(pair)}, tested)
+    _emit(inputs, vars(verdict), seconds, args.out)
     return 0
 
 
@@ -354,8 +364,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_aut)
 
-    p = sub.add_parser("export", help="export a digraph")
-    p.add_argument("--format", choices=["dot"], default="dot")
+    p = sub.add_parser("export", help="export a digraph as DOT")
     p.add_argument("--digraph")
     p.add_argument("--group")
     p.add_argument("--spec")

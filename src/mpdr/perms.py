@@ -3,10 +3,10 @@
 Permutations act on points 0..n-1 and compose left to right: ``(a * b)(x)
 == b(a(x))``, i.e. "apply a, then b".  Groups are represented by a
 deterministic stabilizer chain (Schreier-Sims), which gives the exact
-order, a membership test, orbits and point stabilizers.  Every generator
-enters a chain through one method, ``PermGroup._extend``.  Sifting runs on
-raw image tuples, and each level caches the inverse images of a transversal
-element the first time a sift needs them.  Each level records the (orbit
+order, a membership test and orbits.  Every generator enters a chain
+through one method, ``PermGroup._extend``.  Sifting runs on raw image
+tuples, and each level caches the inverse images of a transversal element
+the first time a sift needs them.  Each level records the (orbit
 point, strong generator) pairs whose Schreier generators it has verified,
 so each is sifted once while the level's transversal stands (the
 incremental Schreier-Sims of Seress, *Permutation Group Algorithms*, ch. 4).
@@ -16,13 +16,11 @@ automorphism search; ``closure`` keeps generators as the chain does, with no cha
 
 from __future__ import annotations
 
-import functools
-import itertools
 import re
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, FormatError, fields
+from .errors import FormatError, fields
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -169,9 +167,6 @@ class _Level:
         if inv is None:
             inv = self.inverses[p] = _inverse_images(self.transversal[p].images)
         return inv
-
-
-_ELEMENT_CAP = 2_000_000
 
 
 class OrbitPartition:
@@ -382,37 +377,6 @@ class PermGroup:
             buckets.setdefault(classes.find(v), []).append(v)
         return [buckets[r] for r in sorted(buckets)]
 
-    def point_stabilizer(self, point: int) -> PermGroup:
-        """The full stabilizer of a point, as its own group.
-
-        Rebuilds the chain with the point as first base; the strong
-        generators below the first level then generate the stabilizer.
-        """
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
-        rebased = PermGroup(self.degree, [])
-        rebased._levels.append(_Level(point, self.degree))
-        for _, g in self._strong_at(0):
-            rebased._extend(g)
-        return PermGroup(self.degree, [s for _, s in rebased._strong_at(1)])
-
-    def fixes_setwise(self, points: Iterable[int]) -> bool:
-        return generators_fix_setwise(self.generators, points)
-
-    def fixes_pointwise(self, points: Iterable[int]) -> bool:
-        pts = list(points)
-        return all(g(p) == p for g in self.generators for p in pts)
-
-    def elements(self) -> Iterator[Permutation]:
-        """Every element, by transversal products, the first level varying
-        fastest. Guarded by a hard cap."""
-        if self.order > _ELEMENT_CAP:
-            raise CapExceededError(f"refusing to enumerate {self.order} elements")
-        transversals = [[lvl.transversal[p] for p in sorted(lvl.transversal)]
-                        for lvl in reversed(self._levels)]
-        return (functools.reduce(Permutation.__mul__, reps, Permutation.identity(self.degree))
-                for reps in itertools.product(*transversals))
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
@@ -422,15 +386,6 @@ def generators_fix_setwise(generators: Iterable[Permutation], points: Iterable[i
     point set onto itself."""
     s = set(points)
     return all({g(p) for p in s} == s for g in generators)
-
-
-def group_json(degree: int, order: int, generators: Iterable[Permutation]) -> dict:
-    """Report form of a group: order as a decimal string, generators in cycles."""
-    return {
-        "degree": degree,
-        "order": str(order),
-        "generators": [g.cycle_string() for g in generators],
-    }
 
 
 def then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

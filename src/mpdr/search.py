@@ -26,7 +26,10 @@ digraphs they search carry no colors, so every order is color-blind.
 
 The rigid-digraph search is one sequential scan of its candidates (in
 lexicographic order of their rows when exhaustive), so its verdict, witness
-and node count are the same on every run.  It asks only for rigidity:
+and node count are the same on every run, and two runs return equal
+``SearchVerdict`` records.  A verdict holds no clock: each of its fields is
+a JSON value, and the CLI times the search and writes the document
+(``cli._emit``).  It asks only for rigidity:
 ``first_automorphism`` stops at the first automorphism it finds, and the
 scan keeps every one found.  A candidate that a kept automorphism preserves
 is decided non-rigid by checking its rows, with no digraph built and no
@@ -42,8 +45,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autgroup import automorphisms, first_automorphism
 from .cayley import ConnectionSpec, MCayleyDigraph, cayley_digraph
@@ -64,17 +66,6 @@ class SearchVerdict:
     verdict: str                    # "witness-found" | "none-exists" | "inconclusive"
     witness: dict | None
     nodes_explored: int
-    wall_time: float = field(compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "parameters": self.parameters,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "nodes_explored": self.nodes_explored,
-            "wall_time": round(self.wall_time, 6),
-        }
 
 
 def exhaust_2partite_valency3(
@@ -272,7 +263,6 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
     or by an automorphism already found.  ``jobs`` must be 1 (any other
     value is refused); exhaustive mode records it in its parameters.
     """
-    start = time.perf_counter()
     if m < 1:
         raise PreconditionError(f"rigid3 needs at least 1 vertex, got m={m}")
     if jobs != 1:
@@ -304,8 +294,7 @@ def trivial_aut_3regular_search(m: int, mode: str = "exhaustive", *,
     witness = None
     if witness_arcs is not None:
         witness = {"n": m, "arcs": [list(a) for a in witness_arcs]}
-    return SearchVerdict("rigid3", params, verdict, witness, tested,
-                         time.perf_counter() - start)
+    return SearchVerdict("rigid3", params, verdict, witness, tested)
 
 
 def _first_rigid(m: int, candidates):

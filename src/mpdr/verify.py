@@ -13,6 +13,12 @@ translations by the group's designated generators
 (``MCayleyDigraph.translations``) as known automorphisms, and the search
 is left only to rule out anything beyond R(G).  A group given by a bare
 table has no designated generators and is searched unseeded.
+
+A ``VerificationReport`` is a plain record of the verdict: it holds no
+clock and no JSON form.  The CLI's ``verify`` times ``is_pdr``, the
+m-Cayley build included, and writes the document (``cli._emit``).  The
+report has no partite flag: ``check_pdr_input`` refuses a spec with a
+nonempty diagonal entry, so every digraph it judges is m-partite.
 """
 
 from __future__ import annotations
@@ -35,30 +41,11 @@ class VerificationReport:
     aut_order: int
     is_pdr: bool
     valency: int | None          # None when the digraph is not regular
-    is_partite: bool
     parts_fixed_setwise: list[bool]
     extra_automorphism_witness: Permutation | None
     vertex_count: int
     search_nodes: int
-    elapsed: float
     color_blind: bool            # False when the parts were used as colors
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "aut_order": str(self.aut_order),
-            "is_pdr": self.is_pdr,
-            "valency": self.valency,
-            "is_partite": self.is_partite,
-            "parts_fixed_setwise": self.parts_fixed_setwise,
-            "extra_automorphism_witness":
-                None if self.extra_automorphism_witness is None
-                else self.extra_automorphism_witness.cycle_string(),
-            "vertex_count": self.vertex_count,
-            "search_nodes": self.search_nodes,
-            "elapsed_seconds": round(self.elapsed, 6),
-            "color_blind": self.color_blind,
-        }
 
 
 def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
@@ -92,13 +79,11 @@ def is_pdr(group: FiniteGroup, spec: ConnectionSpec, *,
         aut_order=aut.order,
         is_pdr=(valency is not None and aut.order == group.order),
         valency=valency,
-        is_partite=True,
         parts_fixed_setwise=[generators_fix_setwise(aut.generators, part)
                              for part in x.parts()],
         extra_automorphism_witness=witness,
         vertex_count=x.digraph.n,
         search_nodes=aut.nodes_explored,
-        elapsed=aut.elapsed,
         color_blind=color_blind,
     )
 

@@ -1,10 +1,14 @@
+import functools
+import itertools
 import re
 import sys
+from typing import Iterable, Iterator
 
 import pytest
 
 from mpdr import Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation, automorphisms
-from mpdr.perms import generators_fix_setwise
+from mpdr.errors import CapExceededError
+from mpdr.perms import _Level, generators_fix_setwise
 
 # Permutation realizations used across the suite.  Indices of the two
 # designated generators are always 1 and 2 (BFS discovery order).
@@ -112,6 +116,47 @@ def is_semiregular(group: PermGroup) -> bool:
     return all(len(orbit) == group.order for orbit in group.orbits())
 
 
+def vertex(x: MCayleyDigraph, element: int, part: int) -> int:
+    """The vertex of ``element`` in ``part``: vertices are part-major."""
+    return part * x.n + element
+
+
+ELEMENT_CAP = 2_000_000
+
+
+def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
+    """The full stabilizer of a point, as its own group: the chain rebuilt
+    with the point as first base, whose strong generators below the first
+    level generate the stabilizer."""
+    if not 0 <= point < group.degree:
+        raise ValueError(f"point {point} out of range for degree {group.degree}")
+    rebased = PermGroup(group.degree, [])
+    rebased._levels.append(_Level(point, group.degree))
+    for _, g in group._strong_at(0):
+        rebased._extend(g)
+    return PermGroup(group.degree, [s for _, s in rebased._strong_at(1)])
+
+
+def fixes_setwise(group: PermGroup, points: Iterable[int]) -> bool:
+    return generators_fix_setwise(group.generators, points)
+
+
+def fixes_pointwise(group: PermGroup, points: Iterable[int]) -> bool:
+    pts = list(points)
+    return all(g(p) == p for g in group.generators for p in pts)
+
+
+def elements(group: PermGroup) -> Iterator[Permutation]:
+    """Every element, by transversal products of the chain, the first level
+    varying fastest; refused past ``ELEMENT_CAP``."""
+    if group.order > ELEMENT_CAP:
+        raise CapExceededError(f"refusing to enumerate {group.order} elements")
+    transversals = [[lvl.transversal[p] for p in sorted(lvl.transversal)]
+                    for lvl in reversed(group._levels)]
+    return (functools.reduce(Permutation.__mul__, reps, Permutation.identity(group.degree))
+            for reps in itertools.product(*transversals))
+
+
 def part_swap(x: MCayleyDigraph, y: int) -> Permutation:
     """The map g_0 -> (y*g)_1, g_1 -> g_0 of a 2-part digraph.  It exchanges
     the parts, and it preserves arcs when G is abelian and T[0,1] = y*T[1,0]
@@ -129,7 +174,7 @@ def stabilizer_criterion(x: MCayleyDigraph, chosen=None, aut=None) -> dict:
     color class, so this runs m + 1 searches."""
     g = x.digraph
     if chosen is None:
-        chosen = [x.vertex(0, i) for i in range(x.m)]
+        chosen = [vertex(x, 0, i) for i in range(x.m)]
     if aut is None:
         aut = automorphisms(g, [t.images for t in x.translations()])
     stabs = [automorphisms(Digraph(g.n, g.arcs(), [v == u for v in range(g.n)]))

@@ -16,7 +16,7 @@ from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph,
                   translate_relation, trivial_aut_3regular_search, two_generated_mpdr)
 
 from conftest import (hamiltonian_oriented_cycles, induced_subdigraph, is_semiregular,
-                      k_step_out_neighborhood, stabilizer_criterion)
+                      k_step_out_neighborhood, stabilizer_criterion, vertex)
 
 
 class _Criterion:
@@ -101,8 +101,8 @@ def test_criterion_03_three_step_neighborhood_counts():
     with _Criterion(3, "3-step out-neighborhoods have sizes 8 and 9 for n=9,10,11"):
         for n in (9, 10, 11):
             x = MCayleyDigraph(FiniteGroup.cyclic(n), cyclic_2pdr(n))
-            assert len(k_step_out_neighborhood(x.digraph, x.vertex(0, 0), 3)) == 8
-            assert len(k_step_out_neighborhood(x.digraph, x.vertex(0, 1), 3)) == 9
+            assert len(k_step_out_neighborhood(x.digraph, vertex(x, 0, 0), 3)) == 8
+            assert len(k_step_out_neighborhood(x.digraph, vertex(x, 0, 1), 3)) == 9
 
 
 def test_criterion_04_unique_spanning_digon_free_cycle():

@@ -6,8 +6,8 @@ import pytest
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
                   PreconditionError, cayley_digraph, cyclic_2pdr, two_generated_mpdr)
 
-from conftest import (A5_GENS, assert_refused, digraph_fields, fields_from_arcs, induced_subdigraph,
-                      is_semiregular, part_swap)
+from conftest import (A5_GENS, assert_refused, digraph_fields, fields_from_arcs, fixes_setwise,
+                      induced_subdigraph, is_semiregular, part_swap, vertex)
 from test_autgroup import family_specs
 
 
@@ -143,7 +143,7 @@ def test_right_translation_identity():
 def test_right_translation_moves_within_part():
     x = MCayleyDigraph(FiniteGroup.cyclic(5), lemma_spec_z5())
     r = x.right_translation(1)
-    assert r(x.vertex(0, 0)) == x.vertex(1, 0)
+    assert r(vertex(x, 0, 0)) == vertex(x, 1, 0)
     assert all(x.vertex_part(r(v)) == x.vertex_part(v) for v in range(10))
 
 
@@ -175,8 +175,8 @@ def test_left_multiplication_convention_matters(s3):
     x = MCayleyDigraph(s3, spec)
     t = 2
     for g in range(6):
-        assert x.digraph.out_bits[x.vertex(g, 0)] >> x.vertex(s3.mul(t, g), 1) & 1
-    swapped = [(x.vertex(g, 0), x.vertex(s3.mul(g, t), 1)) for g in range(6)]
+        assert x.digraph.out_bits[vertex(x, g, 0)] >> vertex(x, s3.mul(t, g), 1) & 1
+    swapped = [(vertex(x, g, 0), vertex(x, s3.mul(g, t), 1)) for g in range(6)]
     assert any(not x.digraph.out_bits[u] >> v & 1 for u, v in swapped)
 
 
@@ -208,7 +208,7 @@ def test_part_swap_all_of_g():
     tau = part_swap(x, 0)
     assert x.digraph.is_automorphism(tau.images)
     assert {tau(v) for v in x.part(0)} == set(x.part(1))
-    assert not PermGroup(6, [tau]).fixes_setwise(x.part(0))
+    assert not fixes_setwise(PermGroup(6, [tau]), x.part(0))
 
 
 def test_part_swap_z4_shifted():

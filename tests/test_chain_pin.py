@@ -1,7 +1,7 @@
 """One hash over the stabilizer chains of a fixed corpus of groups.
 
 The chain is part of the output: generator lists, base points, transversals,
-``elements()`` order and point stabilizer generators all follow from it.
+``elements`` order and point stabilizer generators all follow from it.
 A change to how a chain is built must leave every one of them unchanged.
 """
 
@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 
+from conftest import elements, point_stabilizer
 from mpdr import (Digraph, FiniteGroup, MCayleyDigraph, PermGroup, Permutation,
                   automorphism_search, cyclic_2pdr)
 
@@ -74,10 +75,10 @@ def chain_record(group: PermGroup) -> dict:
     record = {"order": str(group.order),
               "generators": [g.cycle_string() for g in group.generators],
               "levels": levels,
-              "stabilizers": [[g.cycle_string() for g in group.point_stabilizer(v).generators]
+              "stabilizers": [[g.cycle_string() for g in point_stabilizer(group, v).generators]
                               for v in range(group.degree)]}
     if group.order <= ELEMENTS_CAP:
-        record["elements"] = [g.cycle_string() for g in group.elements()]
+        record["elements"] = [g.cycle_string() for g in elements(group)]
     return record
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,14 +13,15 @@ from pathlib import Path
 import pytest
 
 from mpdr import (ConnectionSpec, Digraph, FiniteGroup, FormatError, MCayleyDigraph,
-                  automorphisms, cyclic_2pdr, search)
+                  VerificationReport, automorphisms, cyclic_2pdr, search,
+                  trivial_aut_3regular_search)
 from mpdr.cli import main, parse_group_text
 from mpdr.groups import CLOSURE_CAP
 from mpdr.perms import Permutation
 from test_sweep_pin import RECORD_DIGESTS
 
 # Whole CLI documents, keyed by case name: the exit code and the JSON report
-# with wall times dropped and input paths cut to their basenames.
+# with its elapsed_seconds dropped and input paths cut to their basenames.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 GOLDEN_ARGV = {
     "verify-true": ["verify", "--group", "z5", "--spec", "fig"],
@@ -67,7 +69,7 @@ def run_json(capsys, argv):
 def _normalized(node):
     if isinstance(node, dict):
         return {k: Path(v).name if k == "path" else _normalized(v)
-                for k, v in node.items() if k not in ("wall_time", "elapsed_seconds")}
+                for k, v in node.items() if k != "elapsed_seconds"}
     if isinstance(node, list):
         return [_normalized(v) for v in node]
     return node
@@ -78,6 +80,28 @@ def test_golden_documents(capsys, files, case):
     argv = [str(files[a]) if a in files else a for a in GOLDEN_ARGV[case]]
     code, doc = run_json(capsys, argv)
     assert {"exit": code, "doc": _normalized(doc)} == GOLDEN[case]
+
+
+def _keys(node):
+    """Every key of every object in a JSON value, repeats included."""
+    if isinstance(node, dict):
+        yield from node
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _keys(v)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+def test_report_document_contract(capsys, files, case):
+    """verify, aut (search and oracle) and every search problem write exactly
+    one timing key, a non-negative top-level elapsed_seconds (the golden
+    documents, which drop it, pin every other key)."""
+    argv = [str(files[a]) if a in files else a for a in GOLDEN_ARGV[case]]
+    _, doc = run_json(capsys, argv)
+    keys = collections.Counter(_keys(doc))
+    assert (keys["elapsed_seconds"], keys["wall_time"]) == (1, 0)
+    assert isinstance(doc["elapsed_seconds"], float) and doc["elapsed_seconds"] >= 0
 
 
 # The CLI contract, one row per case: the argv, in which "{name}" is the path
@@ -448,8 +472,9 @@ def test_verify_true_exit_0(capsys, files):
     code, doc = run_json(capsys, ["verify", "--group", str(files["z5"]),
                                   "--spec", str(spec)])
     assert code == 0
-    assert doc["report"]["is_pdr"] is True
-    assert doc["report"]["aut_order"] == "5"
+    assert set(doc["report"]) == {f.name for f in dataclasses.fields(VerificationReport)}
+    assert (doc["report"]["is_pdr"], doc["report"]["aut_order"], doc["report"]["valency"],
+            doc["report"]["color_blind"]) == (True, "5", 3, True)
     assert doc["tool"]["name"] == "mpdr"
     assert doc["tool"]["version"]
     assert set(doc["inputs"]) == {"group", "spec"}
@@ -461,7 +486,8 @@ def test_verify_false_exit_1_with_witness(capsys, files):
                                   "--spec", str(files["allg"])])
     assert code == 1
     assert doc["report"]["is_pdr"] is False
-    assert doc["report"]["extra_automorphism_witness"]
+    witness = doc["report"]["extra_automorphism_witness"]
+    assert Permutation.from_cycles(witness, 6).cycle_string() == witness
 
 
 def test_verify_parts_as_colors_crosscheck(capsys, files):
@@ -534,8 +560,7 @@ def test_memory_error_exit_2(capsys, monkeypatch, files, module, argv):
 def test_aut_digraph(capsys, files):
     code, doc = run_json(capsys, ["aut", "--digraph", str(files["tri"])])
     assert code == 0
-    assert doc["aut"]["order"] == "3"
-    assert doc["aut"]["degree"] == 3
+    assert doc["aut"] == {"degree": 3, "order": "3", "generators": ["(0 1 2)"]}
 
 
 def test_aut_oracle_agrees(capsys, files):
@@ -624,7 +649,7 @@ def test_export_dot_digon_rendering(capsys, files):
     main(["construct", "--family", "cyclic-mpdr", "--n", "2", "--m", "4",
           "--out", str(spec)])
     capsys.readouterr()
-    code = main(["export", "--format", "dot", "--group", str(z2), "--spec", str(spec)])
+    code = main(["export", "--group", str(z2), "--spec", str(spec)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("dir=none") == 10  # digon count of the built digraph
@@ -677,6 +702,14 @@ S3_DOT = """digraph {
 """
 
 
+def test_export_format_flag_refused(capsys, files):
+    """export writes DOT only and takes no --format: the flag exits 3."""
+    assert main(["export", "--format", "dot", "--group", str(files["z5"]),
+                 "--spec", str(files["fig"])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --format dot" in captured.err
+
+
 def test_export_dot_over_perm_group_pinned(capsys, files):
     spec = files["tmp"] / "s3.spec"
     spec.write_text(json.dumps({"m": 2, "n": 6,
@@ -719,6 +752,9 @@ def test_search_rigid3(capsys, files):
     code, doc = run_json(capsys, ["search", "--problem", "rigid3", "--m", "4"])
     assert code == 0
     assert doc["verdict"] == "none-exists"
+    # every SearchVerdict field is already a JSON value, written as it is
+    verdict = vars(trivial_aut_3regular_search(4))
+    assert {k: doc[k] for k in verdict} == verdict
 
 
 def test_search_rigid3_readme_example(capsys):

@@ -6,7 +6,7 @@ from mpdr import (CapExceededError, FiniteGroup, MCayleyDigraph, PreconditionErr
                   two_generated_mpdr)
 
 from conftest import (hamiltonian_oriented_cycles, induced_subdigraph, is_connected,
-                      k_step_out_neighborhood)
+                      k_step_out_neighborhood, vertex)
 
 
 def test_cyclic_2pdr_sets():
@@ -107,8 +107,8 @@ def test_two_part_neighborhood_towers_distinguish_parts():
                     if mapping[v] in two_step
                     and sum(1 for w in sub.out_adj[v] if w in layer) == 2]
 
-        assert len(two_arc_senders(x.vertex(0, 0))) >= 1
-        assert two_arc_senders(x.vertex(0, 1)) == []
+        assert len(two_arc_senders(vertex(x, 0, 0))) >= 1
+        assert two_arc_senders(vertex(x, 0, 1)) == []
 
 
 def test_two_generated_digon_degrees(s3):
@@ -135,7 +135,7 @@ def test_order2_four_parts_outer_induced_cycle():
     assert len(cycles) == 1
     # 1_0 -> x_3 -> x_0 -> 1_3 -> 1_0 in original labels
     original = tuple(mapping[v] for v in cycles[0])
-    assert original == (x.vertex(0, 0), x.vertex(1, 3), x.vertex(1, 0), x.vertex(0, 3))
+    assert original == (vertex(x, 0, 0), vertex(x, 1, 3), vertex(x, 1, 0), vertex(x, 0, 3))
 
 
 def test_two_generated_sets(s3):

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphisms,
-                  cayley_digraph, exhaust_2partite_valency3, exhaust_z2_m3_valency3,
-                  find_valency2_drr, search, translate_relation,
-                  trivial_aut_3regular_search)
+                  cayley_digraph, cyclic_2pdr, exhaust_2partite_valency3,
+                  exhaust_z2_m3_valency3, find_valency2_drr, is_pdr, search,
+                  translate_relation, trivial_aut_3regular_search)
 from mpdr.autgroup import first_automorphism
 from mpdr.cayley import ConnectionSpec
 
@@ -241,6 +241,18 @@ def test_rigid_jobs_deterministic():
             trivial_aut_3regular_search(5, mode=mode, jobs=jobs)
 
 
+def test_two_runs_give_equal_records():
+    """A verdict and a report hold no clock, so two runs of the same call
+    compare equal, field for field."""
+    assert trivial_aut_3regular_search(5) == trivial_aut_3regular_search(5)
+    negative = ConnectionSpec.from_sets(2, 3, {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)})
+    for group, spec in [(FiniteGroup.cyclic(5), cyclic_2pdr(5)),
+                        (FiniteGroup.cyclic(3), negative)]:
+        first = is_pdr(group, spec)
+        assert first == is_pdr(group, spec)
+        assert first.is_pdr == (group.order == 5)
+
+
 def test_import_leaves_process_pool_unloaded():
     # the search runs in one process, so nothing imports the pool or multiprocessing
     src = str(Path(search.__file__).resolve().parents[1])
@@ -401,15 +413,6 @@ def test_rigid_index_hit_alone_never_decides():
     # sigma maps vertex 0's row onto the row at sigma(0), so its key is hit
     assert search._image(sigma, rigid[0]) == rigid[sigma[0]]
     assert search._first_rigid(6, [first, rigid]) == (_arcs(rigid), 2)
-
-
-def test_verdict_json_shape():
-    doc = trivial_aut_3regular_search(4).to_json_dict()
-    assert doc["problem"] == "rigid3"
-    assert doc["verdict"] == "none-exists"
-    assert doc["witness"] is None
-    assert doc["parameters"]["m"] == 4
-    assert "wall_time" in doc and "nodes_explored" in doc
 
 
 def test_drr2_z2_impossible():
