@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import autgroup, perms, verify
+from mpdr import autgroup, cli, perms, verify
 from mpdr import (AutSearchResult, CapExceededError, ConnectionSpec, Digraph, FiniteGroup,
                   MCayleyDigraph, PermGroup, VerificationReport, automorphism_search,
                   automorphisms, brute_force_automorphisms, cyclic_2pdr, cyclic_mpdr,
@@ -797,6 +797,21 @@ def test_is_pdr_invariant_under_group_and_part_relabelings(s3, d4):
             rep.parts_fixed_setwise
         verdicts.add((rep.is_pdr, rep.valency is None, all(rep.parts_fixed_setwise)))
     assert verdicts >= {(True, False, True), (False, False, False), (False, True, True)}
+
+
+def test_report_json_shape(tmp_path, capsys):
+    """The verify report as the CLI writes it."""
+    (tmp_path / "z5.grp").write_text("cyclic 5\n")
+    (tmp_path / "fig.spec").write_text(cyclic_2pdr(5).to_json())
+    argv = ["verify", "--group", str(tmp_path / "z5.grp"), "--spec", str(tmp_path / "fig.spec")]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)["report"]
+    assert doc["aut_order"] == "5"
+    assert doc["is_pdr"] is True
+    assert doc["valency"] == 3
+    assert doc["color_blind"] is True
+    cli.main([*argv, "--parts-as-colors"])
+    assert json.loads(capsys.readouterr().out)["report"]["color_blind"] is False
 
 
 # -- the regularity criterion ------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mpdr import (CapExceededError, Digraph, FiniteGroup, FormatError, PermGroup,
-                  Permutation, MCayleyDigraph, automorphisms, cyclic_2pdr, perms)
+                  Permutation, MCayleyDigraph, automorphisms, cli, cyclic_2pdr, perms)
 from conftest import (assert_refused, elements, fixes_pointwise, fixes_setwise,
                       point_stabilizer)
 from test_chain_pin import generator_corpus, search_corpus
@@ -196,6 +196,14 @@ def test_fixes_setwise_pointwise():
     assert fixes_pointwise(g, {2, 3})
     assert fixes_setwise(g, set())
     assert fixes_pointwise(g, set())
+
+
+def test_json_report(tmp_path, capsys):
+    """An automorphism group as the CLI's aut report writes it."""
+    (tmp_path / "tri.dg").write_text("n 3\n0 1\n1 2\n2 0\n")
+    assert cli.main(["aut", "--digraph", str(tmp_path / "tri.dg")]) == 0
+    doc = json.loads(capsys.readouterr().out)["aut"]
+    assert doc == {"degree": 3, "order": "3", "generators": ["(0 1 2)"]}
 
 
 def test_big_integer_order():

@@ -1,6 +1,7 @@
 import collections
 import inspect
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphisms,
+from mpdr import (Digraph, FiniteGroup, PreconditionError, automorphisms, cli,
                   cayley_digraph, cyclic_2pdr, exhaust_2partite_valency3,
                   exhaust_z2_m3_valency3, find_valency2_drr, is_pdr, search,
                   translate_relation, trivial_aut_3regular_search)
@@ -413,6 +414,17 @@ def test_rigid_index_hit_alone_never_decides():
     # sigma maps vertex 0's row onto the row at sigma(0), so its key is hit
     assert search._image(sigma, rigid[0]) == rigid[sigma[0]]
     assert search._first_rigid(6, [first, rigid]) == (_arcs(rigid), 2)
+
+
+def test_verdict_json_shape(capsys):
+    """The rigid3 verdict as the CLI writes it."""
+    assert cli.main(["search", "--problem", "rigid3", "--m", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["problem"] == "rigid3"
+    assert doc["verdict"] == "none-exists"
+    assert doc["witness"] is None
+    assert doc["parameters"]["m"] == 4
+    assert "elapsed_seconds" in doc and "nodes_explored" in doc
 
 
 def test_drr2_z2_impossible():
